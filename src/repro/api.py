@@ -17,7 +17,7 @@ This module subsumes the three historical entry points
 shims that emit :class:`DeprecationWarning` and forward here, and are
 scheduled for removal in 2.0.  All four paths share one executor, so a
 migrated call site produces byte-identical repositories, tables and
-sweep checkpoints.
+stored sweep shards.
 
 Quickstart::
 
@@ -234,10 +234,11 @@ class ExperimentConfig:
         ``seeds`` is a count (shard seeds derive from :attr:`seed`) or
         an explicit seed sequence.  ``jobs`` caps backend concurrency;
         ``backend`` overrides :attr:`backend` for this sweep (every
-        backend produces byte-identical results).  ``checkpoint_dir``
-        makes the sweep resumable; ``cache_dir`` layers the
-        content-addressed shard cache on top, so repeated or
-        overlapping sweeps reuse completed shards byte-identically.
+        backend produces byte-identical results).  Completed shards go
+        to one digest-checked shard store, rooted at ``cache_dir`` when
+        given (shared, so repeated or overlapping sweeps reuse completed
+        shards byte-identically) and otherwise at ``checkpoint_dir``
+        (which makes the sweep resumable).
         ``progress`` is called with ``(shard, reused)`` as shards
         complete.  ``telemetry`` (a
         :class:`~repro.obs.journal.SweepTelemetry`) turns on the run

@@ -273,11 +273,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"Merged Prometheus metrics written to {args.metrics_out}")
     print()
     print(text)
+    shard_root = args.cache_dir or out / "shards"
     print(
         f"\n{len(result.shards)} shard(s) ({result.reused} reused, "
         f"{result.cached} from cache) on backend '{result.backend}' in "
-        f"{result.wall_time:.1f} s; sweep table, shard checkpoints and "
-        f"merged repository written to {out}/"
+        f"{result.wall_time:.1f} s; sweep table and merged repository "
+        f"written to {out}/, shards stored in {shard_root}/"
     )
     if result.target_ci is not None:
         verdict = "converged" if result.converged else "NOT converged"
@@ -614,7 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution mode: bit-accurate per-packet engine "
                             "(default) or vectorised batch fast path")
     sweep.add_argument("--out", default="sweep_out",
-                       help="output + checkpoint directory (re-run to resume)")
+                       help="output directory; without --cache-dir its "
+                            "shards/ subdirectory is the shard store, so "
+                            "re-running resumes")
     sweep.add_argument("--metrics-out", default=None,
                        help="write the merged Prometheus exposition here")
     sweep.add_argument("--no-journal", action="store_true",

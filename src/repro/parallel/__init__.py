@@ -16,11 +16,13 @@ execution backend with four hard guarantees, all pinned by tests:
   (:mod:`~repro.parallel.backends`: serial in-process, the local
   process pool, standalone workers local or over SSH) can change
   wall-clock time but never a byte of the merged output.
-* **Reuse before recompute** — each completed shard is checkpointed to
-  disk (:mod:`~repro.parallel.checkpoint`) and stored in a
-  content-addressed, digest-validated cache
-  (:mod:`~repro.parallel.cache`); an interrupted, repeated or
-  overlapping sweep simulates only the shards no prior run produced.
+* **Reuse before recompute** — each completed shard is stored in one
+  content-addressed, digest-validated shard store
+  (:mod:`~repro.parallel.cache`) keyed by the sweep fingerprint
+  (:mod:`~repro.parallel.checkpoint`) and the seed, rooted at a shared
+  cache directory or at the sweep's own checkpoint directory; an
+  interrupted, repeated or overlapping sweep simulates only the shards
+  no prior run produced.
 
 On top of the replication core, a sweep can carry a *boosted stratum*
 of rare-event importance-sampled replicates (``rare_boost``) whose
@@ -57,7 +59,7 @@ from .backends import (
     resolve_backend,
 )
 from .cache import CacheStats, ShardCache
-from .checkpoint import SweepCheckpoint, sweep_fingerprint
+from .checkpoint import sweep_fingerprint
 from .seeds import resolve_seeds, shard_seed, shard_seeds
 from .shard import ShardResult, run_shard
 from .stats import (
@@ -79,7 +81,6 @@ __all__ = [
     "SubprocessBackend",
     "SweepBackend",
     "SweepBackendError",
-    "SweepCheckpoint",
     "SweepResult",
     "SweepStalledError",
     "pool_statistics",

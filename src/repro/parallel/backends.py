@@ -1,7 +1,7 @@
 """Pluggable sweep execution backends: where shards actually run.
 
 The sweep orchestrator (:mod:`repro.parallel.sweep`) decides *what* to
-run — seeds, checkpoint/cache reuse, strata, stopping rules — and hands
+run — seeds, shard-store reuse, strata, stopping rules — and hands
 the surviving shards to a :class:`SweepBackend`, which decides *where*:
 
 * :class:`SerialBackend` — in the orchestrating process, one shard at a
@@ -91,10 +91,12 @@ class ShardPlan:
     """Everything a backend needs to execute one batch of shards.
 
     ``runner`` is the in-process worker entry (normally
-    :func:`repro.parallel.shard.run_shard`; tests substitute doubles);
-    ``complete`` is the orchestrator's merge callback and must be called
-    exactly once per pending seed.  ``ctx`` is the sweep's telemetry
-    context, or None when the sweep runs unjournaled.
+    :func:`repro.parallel.shard.run_shard`; tests substitute doubles),
+    always called as ``runner(spec, with_metrics, telemetry)`` with
+    ``telemetry=None`` when the sweep runs unjournaled.  ``complete`` is
+    the orchestrator's merge callback and must be called exactly once
+    per pending seed.  ``ctx`` is the sweep's telemetry context, or
+    None when the sweep runs unjournaled.
     """
 
     spec: CampaignSpec
@@ -126,20 +128,15 @@ class SerialBackend(SweepBackend):
     def run(self, plan: ShardPlan) -> None:
         ctx = plan.ctx
         for seed in plan.pending:
+            telemetry = None
             if ctx is not None:
                 ctx.writer.emit(SHARD_SCHEDULED, seed=seed, index=ctx.index[seed])
-                plan.complete(
-                    plan.runner(
-                        plan.spec.with_seed(seed),
-                        plan.with_metrics,
-                        telemetry=ctx.shard_telemetry(seed),
-                    )
-                )
+                telemetry = ctx.shard_telemetry(seed)
+            plan.complete(
+                plan.runner(plan.spec.with_seed(seed), plan.with_metrics, telemetry)
+            )
+            if ctx is not None:
                 ctx.refresh(time.time())
-            else:
-                # Telemetry off: call with the historical two-argument
-                # shape so test doubles wrapping run_shard keep working.
-                plan.complete(plan.runner(plan.spec.with_seed(seed), plan.with_metrics))
 
 
 class ProcessPoolBackend(SweepBackend):
@@ -163,7 +160,7 @@ class ProcessPoolBackend(SweepBackend):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(
-                    plan.runner, plan.spec.with_seed(seed), plan.with_metrics
+                    plan.runner, plan.spec.with_seed(seed), plan.with_metrics, None
                 ): seed
                 for seed in plan.pending
             }
@@ -326,7 +323,7 @@ class SubprocessBackend(SweepBackend):
     the same worker is launched through ``ssh host <python> -m ...``,
     shards round-robined across the list; the remote interpreters must
     have this repro version importable (the sweep fingerprint carried
-    by checkpoints and cache entries catches skew downstream).
+    by every shard-store entry catches skew downstream).
 
     Liveness reuses the run journal: the dispatcher thread emits
     ``shard_heartbeat`` while its worker is alive, so the sweep monitor

@@ -9,6 +9,11 @@ the same shard — a re-run, a resumed run, an overlapping seed range, a
 instead of re-simulating.  The fingerprint -> payload pipeline is also
 the future campaign service's result cache and idempotency key.
 
+The cache is also a sweep's only resume store: with no shared cache
+root, the sweep roots one at its own checkpoint directory
+(``<out>/shards``), so resuming means every finished seed is a cache
+hit under the sweep's fingerprint.
+
 Integrity is enforced on *read*, not trusted from the writer:
 
 * every entry embeds the SHA-256 of its canonical shard payload JSON;
@@ -64,14 +69,17 @@ def atomic_write_json(path: Path, document: dict) -> None:
     makes the publish atomic: any reader ever sees either the old
     complete file or the new complete file, never a torn one.  A writer
     killed at any point leaves at worst an orphaned ``*.tmp`` file.
+    The document is serialised whole and written in one call: the same
+    bytes as a streamed ``json.dump``, without its per-chunk writes.
 
     The discipline itself lives in
     :func:`repro.collection.store.atomic_writer` so every on-disk
     artifact — cache entries, JSONL repositories, the columnar store's
     sidecar files — publishes the same way.
     """
+    text = json.dumps(document, separators=(",", ":"))
     with atomic_writer(path) as handle:
-        json.dump(document, handle, separators=(",", ":"))
+        handle.write(text)
 
 
 def payload_digest(payload: dict) -> str:

@@ -10,11 +10,11 @@ Table 1-4 numbers.  This module is that harness:
 * *where* shards run is pluggable (:mod:`repro.parallel.backends`):
   serial in-process, the local process pool, or standalone worker
   interpreters dispatched locally or over SSH;
-* shards are reused before they are run: first from the sweep's own
-  checkpoint directory, then from the content-addressed shard cache
-  (:mod:`repro.parallel.cache`), which any sweep with the same
-  fingerprint x seed shares — repeated or overlapping sweeps simulate
-  only what no prior run has;
+* shards are reused before they are run, from one digest-checked
+  shard store (:mod:`repro.parallel.cache`) keyed by fingerprint x
+  seed: the shared cache root when one is given, otherwise the sweep's
+  own checkpoint directory — resumed, repeated or overlapping sweeps
+  simulate only what no prior run has;
 * a *boosted stratum* of rare-event importance-sampled replicates
   (``rare_boost``/``boost_seeds``) can ride along; its reweighted
   estimates join the pooled view without biasing it
@@ -63,7 +63,7 @@ from .backends import (
     resolve_backend,
 )
 from .cache import ShardCache
-from .checkpoint import SweepCheckpoint, sweep_fingerprint
+from .checkpoint import sweep_fingerprint
 from .seeds import resolve_seeds, shard_seeds
 from .shard import ShardResult, run_shard
 from .stats import PooledStat, pool_statistics, pool_stratified
@@ -90,9 +90,10 @@ class SweepResult:
     shards: List[ShardResult]
     jobs: int
     wall_time: float
-    #: How many shards were reused from the checkpoint instead of run.
+    #: How many shards the sweep's own checkpoint directory served
+    #: (the shard store when no shared cache root is given).
     reused: int = 0
-    #: How many shards the content-addressed cache served byte-identical.
+    #: How many shards the shared cache root served byte-identical.
     cached: int = 0
     #: Name of the backend that executed the fresh shards.
     backend: str = "process"
@@ -328,11 +329,11 @@ class _SweepTelemetryContext:
             progress_interval=self.progress_interval,
         )
 
-    def note_reused(self, shard: ShardResult, source: str = "checkpoint") -> None:
-        """Narrate a reused shard as a synthetic lifecycle.
+    def note_reused(self, shard: ShardResult, source: str) -> None:
+        """Narrate a shard-store hit as a synthetic lifecycle.
 
-        Whether the shard came from the checkpoint or the shard cache
-        only shows in the wall envelope: the canonical scheduled /
+        ``shard_cache_hit`` and the ``wall.source`` naming the store
+        root are the only traces of reuse: the canonical scheduled /
         started / completed lifecycle of a fully-reused sweep is
         byte-identical to a fresh one.  (In-flight ``shard_progress``
         ticks belong to execution and are absent from a reused shard —
@@ -340,6 +341,7 @@ class _SweepTelemetryContext:
         """
         reused = {"reused": True, "source": source}
         seed, index = shard.seed, self.index[shard.seed]
+        self.writer.emit(SHARD_CACHE_HIT, seed=seed, index=index)
         self.writer.emit(SHARD_SCHEDULED, seed=seed, index=index, wall=reused)
         self.writer.emit(SHARD_STARTED, seed=seed, index=index, wall=reused)
         self.writer.emit(
@@ -377,62 +379,43 @@ def _run_stratum(
     jobs: int,
     with_metrics: bool,
     backend: SweepBackend,
-    checkpoint_dir: Optional[Union[str, Path]],
-    cache: Optional[ShardCache],
+    shard_store: Optional[ShardCache],
+    source: str,
     ctx: Optional[_SweepTelemetryContext],
     progress: Optional[Callable[[ShardResult, bool], None]],
-    counters: Dict[str, int],
-) -> List[ShardResult]:
-    """Run one stratum: reuse checkpoint, then cache, then simulate.
+) -> Tuple[List[ShardResult], int]:
+    """Run one stratum: serve each seed from ``shard_store`` or run it.
 
-    Reuse sources agree on ownership by construction: both stores are
-    written atomically after a shard *completes* (a killed worker leaves
-    only orphaned temp files), both are keyed to the stratum fingerprint,
-    and the cache additionally digest-validates its payloads.  A
-    checkpoint hit back-fills the cache; a cache hit back-fills the
-    checkpoint so ``--resume`` sees it too.
+    Returns the stratum's shards in canonical order and how many of
+    them ``shard_store`` served.  A shard is stored only after it
+    *completes*, atomically and under a digest that every read
+    re-checks, so neither a killed worker nor a tampered or truncated
+    entry can ever be served.  The stratum fingerprint is half of each
+    key, so the nominal and boosted strata share one store root.
     """
     if not stratum_seeds:
-        return []
+        return [], 0
     fingerprint = sweep_fingerprint(spec, with_metrics)
-    checkpoint: Optional[SweepCheckpoint] = None
-    if checkpoint_dir is not None:
-        checkpoint = SweepCheckpoint(checkpoint_dir, fingerprint)
-        checkpoint.write_manifest(stratum_seeds, spec.seed)
 
     shards: Dict[int, ShardResult] = {}
     for seed in stratum_seeds:
-        loaded = checkpoint.load(seed) if checkpoint is not None else None
-        if loaded is not None:
-            counters["reused"] += 1
-            if cache is not None and not cache.has(fingerprint, seed):
-                cache.put(fingerprint, seed, loaded)
-            if ctx is not None:
-                ctx.note_reused(loaded, source="checkpoint")
-        elif cache is not None:
-            loaded = cache.get(fingerprint, seed)
-            if loaded is not None:
-                counters["cached"] += 1
-                if checkpoint is not None:
-                    checkpoint.store(loaded)
-                if ctx is not None:
-                    ctx.writer.emit(
-                        SHARD_CACHE_HIT, seed=seed, index=ctx.index[seed]
-                    )
-                    ctx.note_reused(loaded, source="cache")
+        loaded = (
+            shard_store.get(fingerprint, seed) if shard_store is not None else None
+        )
         if loaded is not None:
             shards[seed] = loaded
+            if ctx is not None:
+                ctx.note_reused(loaded, source)
             if progress is not None:
                 progress(loaded, True)
+    hits = len(shards)
 
     pending = tuple(seed for seed in stratum_seeds if seed not in shards)
 
     def _complete(shard: ShardResult) -> None:
         shards[shard.seed] = shard
-        if checkpoint is not None:
-            checkpoint.store(shard)
-        if cache is not None:
-            cache.put(fingerprint, shard.seed, shard)
+        if shard_store is not None:
+            shard_store.put(fingerprint, shard.seed, shard)
         if progress is not None:
             progress(shard, False)
 
@@ -448,19 +431,19 @@ def _run_stratum(
                 ctx=ctx,
             )
         )
-    return [shards[seed] for seed in sorted(stratum_seeds)]
+    return [shards[seed] for seed in sorted(stratum_seeds)], hits
 
 
 def _sweep_pass(
     seeds: Union[int, Sequence[int]],
     jobs: int,
     spec: CampaignSpec,
-    checkpoint_dir: Optional[Union[str, Path]],
     with_metrics: bool,
     progress: Optional[Callable[[ShardResult, bool], None]],
     telemetry: Optional[SweepTelemetry],
     backend: SweepBackend,
-    cache: Optional[ShardCache],
+    shard_store: Optional[ShardCache],
+    source: str,
     rare_boost: float,
     boost_seeds: int,
 ) -> SweepResult:
@@ -493,21 +476,18 @@ def _sweep_pass(
         )
 
     started = time.perf_counter()
-    counters = {"reused": 0, "cached": 0}
     try:
-        shards = _run_stratum(
+        shards, hits = _run_stratum(
             spec, resolved, jobs, with_metrics, backend,
-            checkpoint_dir, cache, ctx, progress, counters,
+            shard_store, source, ctx, progress,
         )
         boosted: List[ShardResult] = []
         if boosted_spec is not None:
-            boost_dir = (
-                Path(checkpoint_dir) / "boost" if checkpoint_dir is not None else None
-            )
-            boosted = _run_stratum(
+            boosted, boosted_hits = _run_stratum(
                 boosted_spec, boost_list, jobs, with_metrics, backend,
-                boost_dir, cache, ctx, progress, counters,
+                shard_store, source, ctx, progress,
             )
+            hits += boosted_hits
         if ctx is not None:
             ctx.writer.emit(
                 SWEEP_COMPLETED, seeds=[int(seed) for seed in resolved]
@@ -523,18 +503,16 @@ def _sweep_pass(
         if ctx is not None:
             ctx.close()
 
-    if counters["reused"]:
-        log.info("sweep: reused %d checkpointed shard(s)", counters["reused"])
-    if counters["cached"]:
-        log.info("sweep: served %d shard(s) from the cache", counters["cached"])
+    if hits:
+        log.info("sweep: served %d shard(s) from the %s", hits, source)
     return SweepResult(
         spec=spec,
         seeds=resolved,
         shards=shards,
         jobs=jobs,
         wall_time=time.perf_counter() - started,
-        reused=counters["reused"],
-        cached=counters["cached"],
+        reused=hits if source == "checkpoint" else 0,
+        cached=hits if source == "cache" else 0,
         backend=backend.name,
         boosted_shards=boosted,
         boost=rare_boost if boosted else 1.0,
@@ -585,12 +563,14 @@ def _execute_sweep(
     backend's concurrency; ``backend`` picks where shards execute
     (:func:`repro.parallel.backends.resolve_backend` — the default is
     the historical local process pool, and every backend produces *the
-    same result to the byte*).  With ``checkpoint_dir``, completed
-    shards are written there as they finish and a re-invocation reuses
-    every shard whose file matches the sweep fingerprint; ``cache``
-    layers the cross-sweep content-addressed store on top.  ``progress``
-    (if given) is called with ``(shard, reused)`` as each shard becomes
-    available.
+    same result to the byte*).  Completed shards go to one
+    digest-checked shard store (:class:`~repro.parallel.cache.ShardCache`)
+    as they finish: rooted at ``cache`` when given (shared across
+    sweeps; hits count as :attr:`SweepResult.cached`), otherwise at
+    ``checkpoint_dir`` (this sweep's resume store; hits count as
+    :attr:`SweepResult.reused`).  A re-invocation reuses every shard
+    stored under the sweep fingerprint.  ``progress`` (if given) is
+    called with ``(shard, reused)`` as each shard becomes available.
 
     ``rare_boost`` > 1 adds a boosted stratum of ``boost_seeds``
     importance-sampled replicates (default: as many as the nominal
@@ -599,7 +579,7 @@ def _execute_sweep(
     nominal stratum (and growing the boosted stratum with it) until
     every pooled statistic's 95% CI is within that relative width or
     ``max_seeds`` is reached — prefix-stable seed derivation plus the
-    checkpoint/cache mean each extension only simulates the new seeds.
+    shard store mean each extension only simulates the new seeds.
 
     ``telemetry`` (a :class:`~repro.obs.journal.SweepTelemetry`) makes
     the sweep narrate itself to an append-only run journal: the
@@ -630,11 +610,14 @@ def _execute_sweep(
     if boost_seeds and rare_boost == 1.0:
         raise ValueError("boost_seeds requires rare_boost > 1")
     backend_obj = resolve_backend(backend)
-    shard_cache: Optional[ShardCache]
-    if cache is None or isinstance(cache, ShardCache):
-        shard_cache = cache
-    else:
-        shard_cache = ShardCache(cache)
+    shard_store: Optional[ShardCache] = None
+    source = "cache"
+    if isinstance(cache, ShardCache):
+        shard_store = cache
+    elif cache is not None:
+        shard_store = ShardCache(cache)
+    elif checkpoint_dir is not None:
+        shard_store, source = ShardCache(checkpoint_dir), "checkpoint"
 
     def _boost_count(nominal_count: int) -> int:
         if rare_boost == 1.0:
@@ -644,8 +627,8 @@ def _execute_sweep(
     if target_ci is None:
         nominal = seeds if isinstance(seeds, int) else len(tuple(seeds))
         result = _sweep_pass(
-            seeds, jobs, spec, checkpoint_dir, with_metrics, progress,
-            telemetry, backend_obj, shard_cache, rare_boost,
+            seeds, jobs, spec, with_metrics, progress,
+            telemetry, backend_obj, shard_store, source, rare_boost,
             _boost_count(nominal),
         )
         if store is not None:
@@ -666,8 +649,8 @@ def _execute_sweep(
     total_wall = 0.0
     while True:
         result = _sweep_pass(
-            count, jobs, spec, checkpoint_dir, with_metrics, progress,
-            telemetry, backend_obj, shard_cache, rare_boost,
+            count, jobs, spec, with_metrics, progress,
+            telemetry, backend_obj, shard_store, source, rare_boost,
             _boost_count(count),
         )
         total_wall += result.wall_time

@@ -6,9 +6,8 @@ Pins the PR's three new contracts on top of :mod:`repro.parallel`:
   produce byte-identical merged tables (and the SSH selector parses).
 * **Content-addressed reuse** — a repeated sweep simulates zero shards;
   corruption (truncation, bit flips) and staleness (any fingerprint
-  change) are detected on read and re-simulated, never served; the
-  cache and the ``--resume`` checkpoint back-fill each other and agree
-  on ownership of partially-written files.
+  change) are detected on read and re-simulated, never served; a
+  partially-written file is never mistaken for a completed shard.
 * **Stratified rare-event sampling** — boosted importance-sampled
   replicates carry unbiased reweighted estimates that agree with the
   plain estimator within 4 sigma, and ``target_ci`` grows the strata
@@ -276,6 +275,11 @@ class TestShardCache:
         atomic_write_json(target, {"v": 2})
         assert json.loads(target.read_text(encoding="utf-8")) == {"v": 2}
         assert not list(tmp_path.glob(".*tmp"))
+        document = {"v": 3, "shard": {"x": [1.5, None, "é"], "n": {}}}
+        atomic_write_json(target, document)
+        assert target.read_bytes() == json.dumps(
+            document, separators=(",", ":")
+        ).encode("utf-8")
 
 
 class TestCacheInSweeps:
@@ -317,28 +321,6 @@ class TestCacheInSweeps:
         assert ShardCache(cache_dir).get(
             fingerprint, first.shards[0].seed
         ) is not None
-
-    def test_checkpoint_hit_backfills_cache(self, tmp_path):
-        checkpoint = tmp_path / "shards"
-        cache_dir = tmp_path / "cache"
-        run_sweep(2, spec=SPEC, backend="serial", checkpoint_dir=checkpoint)
-        result = run_sweep(
-            2, spec=SPEC, backend="serial",
-            checkpoint_dir=checkpoint, cache_dir=cache_dir,
-        )
-        assert result.reused == 2 and result.cached == 0
-        assert ShardCache(cache_dir).stats().entries == 2
-
-    def test_cache_hit_backfills_checkpoint(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        run_sweep(2, spec=SPEC, backend="serial", cache_dir=cache_dir)
-        checkpoint = tmp_path / "shards"
-        result = run_sweep(
-            2, spec=SPEC, backend="serial",
-            checkpoint_dir=checkpoint, cache_dir=cache_dir,
-        )
-        assert result.cached == 2
-        assert len(list(checkpoint.glob("shard-*.json"))) == 2
 
     def test_orphaned_temp_is_never_served(self, tmp_path):
         """A killed writer leaves only a temp file, which no reader globs."""

@@ -17,8 +17,8 @@ from repro.core.campaign import CampaignSpec
 from repro.core.summary import campaign_statistics
 from repro.api import ExperimentConfig
 from repro.parallel import (
+    ShardCache,
     ShardResult,
-    SweepCheckpoint,
     pool_statistics,
     pool_values,
     resolve_seeds,
@@ -202,14 +202,14 @@ class TestCheckpoint:
 
     def test_partial_resume_recomputes_only_missing(self, tmp_path, monkeypatch):
         first = run_sweep(3, jobs=1, spec=SPEC, checkpoint_dir=tmp_path)
-        victim = sorted(tmp_path.glob("shard-*.json"))[1]
+        victim = sorted(tmp_path.glob("objects/*/*.json"))[1]
         victim.unlink()
         calls = []
         original = sweep_module.run_shard
 
-        def counting(spec, with_metrics=False):
+        def counting(spec, with_metrics=False, telemetry=None):
             calls.append(spec.seed)
-            return original(spec, with_metrics)
+            return original(spec, with_metrics, telemetry)
 
         monkeypatch.setattr(sweep_module, "run_shard", counting)
         second = run_sweep(3, jobs=1, spec=SPEC, checkpoint_dir=tmp_path)
@@ -231,14 +231,28 @@ class TestCheckpoint:
 
     def test_corrupt_shard_file_recomputed(self, tmp_path):
         run_sweep(1, jobs=1, spec=SPEC, checkpoint_dir=tmp_path)
-        shard_file = next(tmp_path.glob("shard-*.json"))
+        shard_file = next(tmp_path.glob("objects/*/*.json"))
         shard_file.write_text("{not json", encoding="utf-8")
         result = run_sweep(1, jobs=1, spec=SPEC, checkpoint_dir=tmp_path)
         assert result.reused == 0
-        checkpoint = SweepCheckpoint(
-            tmp_path, sweep_fingerprint(SPEC, False)
+        store = ShardCache(tmp_path)
+        assert store.get(
+            sweep_fingerprint(SPEC, False), result.shards[0].seed
+        ) is not None
+
+    def test_tampered_entry_is_never_served(self, tmp_path):
+        """A statistic edited inside a stored shard, JSON left valid."""
+        first = run_sweep(1, jobs=1, spec=SPEC, checkpoint_dir=tmp_path)
+        entry = next(
+            path for path in tmp_path.rglob("*.json")
+            if '"statistics"' in path.read_text(encoding="utf-8")
         )
-        assert checkpoint.load(result.shards[0].seed) is not None
+        document = json.loads(entry.read_text(encoding="utf-8"))
+        document["shard"]["statistics"]["availability"] /= 2
+        entry.write_text(json.dumps(document), encoding="utf-8")
+        second = run_sweep(1, jobs=1, spec=SPEC, checkpoint_dir=tmp_path)
+        assert second.reused == 0
+        assert second.render() == first.render()
 
 
 class TestSweepCli:
@@ -253,7 +267,7 @@ class TestSweepCli:
         assert rc == 0
         assert (out / "sweep.txt").exists()
         assert (out / "repository" / "test_records.jsonl").exists()
-        assert len(list((out / "shards").glob("shard-*.json"))) == 2
+        assert ShardCache(out / "shards").stats().entries == 2
         captured = capsys.readouterr().out
         assert "Campaign sweep: 2 seeds" in captured
 
