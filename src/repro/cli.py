@@ -60,11 +60,9 @@ from repro import api, configure_logging
 from repro.collection.repository import CentralRepository
 from repro.collection.store import FailureStore
 from repro.core.dependability import build_dependability_report
-from repro.core.distributions import packet_loss_by_connection_age
 from repro.obs import Observability
 from repro.recovery.masking import MaskingPolicy
 from repro.reporting import (
-    format_bar_chart,
     render_dependability_table,
     render_obs_summary,
 )
@@ -76,10 +74,14 @@ def infer_node_nap_pairs(repository: FailureStore) -> List[Tuple[str, str]]:
     The NAP of each testbed is the host that never writes user-level
     reports (it only records system-level data).  Works against any
     :class:`~repro.collection.store.FailureStore` backend; only the
-    node-name set is held in memory.
+    node-name set is held in memory, and each node is probed for its
+    first report rather than scanning every report.
     """
     nodes = repository.nodes()
-    test_nodes = {r.node for r in repository.iter_records(kind="test")}
+    test_nodes = {
+        node for node in nodes
+        if next(repository.iter_records(kind="test", node=node), None) is not None
+    }
     naps: Dict[str, str] = {}
     for node in nodes:
         testbed = node.split(":", 1)[0]
@@ -100,13 +102,7 @@ def _analyses_text(
     """Render every analysis derivable from a failure store alone."""
     from repro.core.summary import summarize_repository
 
-    summary = summarize_repository(repository, pairs)
-    sections = [summary.render()]
-    age = packet_loss_by_connection_age(repository.iter_records(kind="test"))
-    if any(v for _, v in age):
-        sections.append("")
-        sections.append(format_bar_chart(age, title="Packet losses vs connection age"))
-    return "\n".join(sections)
+    return summarize_repository(repository, pairs).render()
 
 
 def _observability_for(args: argparse.Namespace) -> Optional[Observability]:

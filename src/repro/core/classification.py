@@ -12,7 +12,7 @@ rather than silently dropped.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.collection.records import SystemLogRecord, TestLogRecord
 from .failure_model import SystemFailureType, UserFailureType
@@ -110,27 +110,85 @@ def classify_system_record(record: SystemLogRecord) -> Optional[SystemFailureTyp
     return classify_system_message(record.message)
 
 
+class MessageClassifier:
+    """Classify records by message text, each distinct text once.
+
+    A campaign repeats a small vocabulary of messages thousands of
+    times, so one analysis pass keeps the verdict per text instead of
+    re-running the patterns per record.  Classification stays purely
+    text-based — the memo changes how often the patterns run, never
+    what they return.  Each memo is cleared when it reaches
+    :attr:`LIMIT` distinct texts, so its memory stays bounded however
+    long the stream.
+    """
+
+    LIMIT = 1 << 14
+
+    def __init__(self) -> None:
+        self._user: Dict[str, Optional[UserFailureType]] = {}
+        self._system: Dict[str, Optional[SystemFailureType]] = {}
+
+    def user(self, record: TestLogRecord) -> Optional[UserFailureType]:
+        """:func:`classify_user_record`, memoised on the message text."""
+        return self._lookup(self._user, record.message, classify_user_message)
+
+    def system(self, record: SystemLogRecord) -> Optional[SystemFailureType]:
+        """:func:`classify_system_record`, memoised on the message text."""
+        if record.severity != "error":
+            return None
+        return self._lookup(self._system, record.message, classify_system_message)
+
+    def _lookup(self, memo: dict, text: str, classify: Callable[[str], object]):
+        if text in memo:
+            return memo[text]
+        if len(memo) >= self.LIMIT:
+            memo.clear()
+        failure_type = memo[text] = classify(text)
+        return failure_type
+
+
+class ClassificationCounts:
+    """Classified/unclassified message counts, folded one record at a time."""
+
+    def __init__(self) -> None:
+        self.user_total = self.user_classified = 0
+        self.system_total = self.system_classified = 0
+
+    def add_test(self, record: TestLogRecord, user_type: Optional[UserFailureType]) -> None:
+        """Count one user report, classified when ``user_type`` is set."""
+        self.user_total += 1
+        if user_type is not None:
+            self.user_classified += 1
+
+    def add_system(
+        self, record: SystemLogRecord, system_type: Optional[SystemFailureType]
+    ) -> None:
+        """Count one system entry, classified when ``system_type`` is set."""
+        self.system_total += 1
+        if system_type is not None:
+            self.system_classified += 1
+
+    def report(self) -> Dict[str, int]:
+        """The counts as :func:`classification_report` returns them."""
+        return {
+            "user_total": self.user_total,
+            "user_classified": self.user_classified,
+            "system_total": self.system_total,
+            "system_classified": self.system_classified,
+        }
+
+
 def classification_report(
     user_records: Iterable[TestLogRecord],
     system_records: Iterable[SystemLogRecord],
 ) -> dict:
     """Counts of classified/unclassified messages in both streams."""
-    user_total = user_ok = 0
+    counts = ClassificationCounts()
     for record in user_records:
-        user_total += 1
-        if classify_user_record(record) is not None:
-            user_ok += 1
-    system_total = system_ok = 0
-    for record in system_records:
-        system_total += 1
-        if classify_system_record(record) is not None:
-            system_ok += 1
-    return {
-        "user_total": user_total,
-        "user_classified": user_ok,
-        "system_total": system_total,
-        "system_classified": system_ok,
-    }
+        counts.add_test(record, classify_user_record(record))
+    for entry in system_records:
+        counts.add_system(entry, classify_system_record(entry))
+    return counts.report()
 
 
 __all__ = [
@@ -139,4 +197,6 @@ __all__ = [
     "classify_user_record",
     "classify_system_record",
     "classification_report",
+    "ClassificationCounts",
+    "MessageClassifier",
 ]

@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.collection.records import TestLogRecord
 from repro.faults.calibration import MAX_SYSTEM_REBOOTS, SIRA_DURATIONS
+from .failure_model import UserFailureType
 from .sira_analysis import record_severity
 
 #: Manual action costs (seconds), shared with the SIRA calibration.
@@ -227,6 +228,11 @@ class ScenarioAccumulator:
                 self._cheap += 1
         self._failures += 1
         self._previous_end[record.node] = record.time + ttr
+
+    def add_test(self, record: TestLogRecord, user_type: Optional[UserFailureType]) -> None:
+        """Fold one report of any kind: masked ones never reached the user."""
+        if not record.masked:
+            self.add(record)
 
     @property
     def failures(self) -> int:

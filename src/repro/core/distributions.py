@@ -17,12 +17,86 @@ from .classification import classify_user_record
 from .failure_model import UserFailureType
 
 
-def _packet_loss_records(records: Iterable[TestLogRecord]) -> List[TestLogRecord]:
-    return [
-        r
-        for r in records
-        if not r.masked and classify_user_record(r) is UserFailureType.PACKET_LOSS
-    ]
+#: Figure 3b's bins over the packets sent before a loss (logical packets).
+CONNECTION_AGE_BINS: Tuple[int, ...] = (0, 100, 250, 500, 1000, 2000, 4000, 7000, 10000)
+
+
+class PacketLosses:
+    """Figure 3's packet-loss failures, binned three ways in one pass.
+
+    Counts every unmasked packet-loss report by Baseband packet type
+    (3a), by packets sent before the loss (3b, over ``bin_edges``) and
+    by emulated application (3c); the ``*_shares`` views turn the counts
+    into the figures' percentages.
+    """
+
+    def __init__(self, bin_edges: Sequence[int] = CONNECTION_AGE_BINS) -> None:
+        self.edges = list(bin_edges)
+        self.by_packet_type: Dict[str, int] = {t.value: 0 for t in PACKET_TYPE_ORDER}
+        self.by_age = [0] * (len(self.edges) - 1)
+        self.by_application: Dict[str, int] = {}
+
+    def add_test(self, record: TestLogRecord, user_type: Optional[UserFailureType]) -> None:
+        """Count one report if it is an unmasked packet loss."""
+        if record.masked or user_type is not UserFailureType.PACKET_LOSS:
+            return
+        if record.packet_type in self.by_packet_type:
+            self.by_packet_type[record.packet_type] += 1
+        edges = self.edges
+        sent = record.packets_sent
+        for i in range(len(edges) - 1):
+            if edges[i] <= sent < edges[i + 1]:
+                self.by_age[i] += 1
+                break
+        else:
+            if sent >= edges[-1]:
+                self.by_age[-1] += 1
+        if record.workload != "random":
+            self.by_application[record.workload] = (
+                self.by_application.get(record.workload, 0) + 1
+            )
+
+    def packet_type_shares(
+        self, cycles_by_type: Optional[Dict[str, int]] = None
+    ) -> Dict[str, Dict[str, float]]:
+        """Figure 3a: see :func:`packet_loss_by_packet_type`."""
+        total = sum(self.by_packet_type.values())
+        result: Dict[str, Dict[str, float]] = {}
+        for name, count in self.by_packet_type.items():
+            entry = {"share_pct": 100.0 * count / total if total else 0.0, "losses": float(count)}
+            if cycles_by_type:
+                cycles = cycles_by_type.get(name, 0)
+                entry["loss_rate_pct"] = 100.0 * count / cycles if cycles else 0.0
+            result[name] = entry
+        return result
+
+    def connection_age_shares(self) -> List[Tuple[str, float]]:
+        """Figure 3b: see :func:`packet_loss_by_connection_age`."""
+        edges = self.edges
+        total = sum(self.by_age)
+        labels = [f"{edges[i]}-{edges[i + 1]}" for i in range(len(edges) - 1)]
+        return [
+            (label, 100.0 * count / total if total else 0.0)
+            for label, count in zip(labels, self.by_age)
+        ]
+
+    def application_shares(self) -> Dict[str, float]:
+        """Figure 3c: see :func:`packet_loss_by_application`."""
+        total = sum(self.by_application.values())
+        return {
+            app: 100.0 * count / total if total else 0.0
+            for app, count in sorted(self.by_application.items())
+        }
+
+
+def _packet_losses(
+    records: Iterable[TestLogRecord],
+    bin_edges: Sequence[int] = CONNECTION_AGE_BINS,
+) -> PacketLosses:
+    losses = PacketLosses(bin_edges)
+    for record in records:
+        losses.add_test(record, classify_user_record(record))
+    return losses
 
 
 def packet_loss_by_packet_type(
@@ -36,64 +110,26 @@ def packet_loss_by_packet_type(
     per-cycle loss *rate*, which removes the workload's binomial
     type-selection bias.
     """
-    losses = _packet_loss_records(records)
-    counts: Dict[str, int] = {t.value: 0 for t in PACKET_TYPE_ORDER}
-    for record in losses:
-        if record.packet_type in counts:
-            counts[record.packet_type] += 1
-    total = sum(counts.values())
-    result: Dict[str, Dict[str, float]] = {}
-    for name, count in counts.items():
-        entry = {"share_pct": 100.0 * count / total if total else 0.0, "losses": float(count)}
-        if cycles_by_type:
-            cycles = cycles_by_type.get(name, 0)
-            entry["loss_rate_pct"] = 100.0 * count / cycles if cycles else 0.0
-        result[name] = entry
-    return result
+    return _packet_losses(records).packet_type_shares(cycles_by_type)
 
 
 def packet_loss_by_connection_age(
     records: Iterable[TestLogRecord],
-    bin_edges: Sequence[int] = (0, 100, 250, 500, 1000, 2000, 4000, 7000, 10000),
+    bin_edges: Sequence[int] = CONNECTION_AGE_BINS,
 ) -> List[Tuple[str, float]]:
     """Figure 3b: packet-loss share vs packets sent before the loss.
 
     Returns (bin label, percentage) pairs over the given bin edges
     (logical packets).
     """
-    losses = _packet_loss_records(records)
-    edges = list(bin_edges)
-    counts = [0] * (len(edges) - 1)
-    for record in losses:
-        sent = record.packets_sent
-        for i in range(len(edges) - 1):
-            if edges[i] <= sent < edges[i + 1]:
-                counts[i] += 1
-                break
-        else:
-            if sent >= edges[-1]:
-                counts[-1] += 1
-    total = sum(counts)
-    labels = [f"{edges[i]}-{edges[i + 1]}" for i in range(len(edges) - 1)]
-    return [
-        (label, 100.0 * count / total if total else 0.0)
-        for label, count in zip(labels, counts)
-    ]
+    return _packet_losses(records, bin_edges).connection_age_shares()
 
 
 def packet_loss_by_application(
     records: Iterable[TestLogRecord],
 ) -> Dict[str, float]:
     """Figure 3c: packet-loss share per emulated networked application."""
-    losses = [r for r in _packet_loss_records(records) if r.workload != "random"]
-    counts: Dict[str, int] = {}
-    for record in losses:
-        counts[record.workload] = counts.get(record.workload, 0) + 1
-    total = sum(counts.values())
-    return {
-        app: 100.0 * count / total if total else 0.0
-        for app, count in sorted(counts.items())
-    }
+    return _packet_losses(records).application_shares()
 
 
 def failures_by_node(
@@ -160,18 +196,32 @@ def failures_by_distance(
     }
 
 
+class WorkloadSplit:
+    """Unmasked failure counts per testbed, folded one record at a time."""
+
+    def __init__(self) -> None:
+        self.counts: Dict[str, int] = {}
+
+    def add_test(self, record: TestLogRecord, user_type: Optional[UserFailureType]) -> None:
+        """Count one report if it is unmasked."""
+        if not record.masked:
+            self.counts[record.testbed] = self.counts.get(record.testbed, 0) + 1
+
+    def shares(self) -> Dict[str, float]:
+        """Each testbed's percentage of the counted failures."""
+        total = sum(self.counts.values())
+        return {
+            name: 100.0 * count / total if total else 0.0
+            for name, count in sorted(self.counts.items())
+        }
+
+
 def workload_split(records: Iterable[TestLogRecord]) -> Dict[str, float]:
     """§6: share of failures generated by each testbed (random vs realistic)."""
-    counts: Dict[str, int] = {}
+    split = WorkloadSplit()
     for record in records:
-        if record.masked:
-            continue
-        counts[record.testbed] = counts.get(record.testbed, 0) + 1
-    total = sum(counts.values())
-    return {
-        name: 100.0 * count / total if total else 0.0
-        for name, count in sorted(counts.items())
-    }
+        split.add_test(record, None)
+    return split.shares()
 
 
 def workload_independence(
@@ -267,6 +317,9 @@ def idle_time_analysis(stats: Iterable[CycleStats]) -> IdleTimeAnalysis:
 
 
 __all__ = [
+    "CONNECTION_AGE_BINS",
+    "PacketLosses",
+    "WorkloadSplit",
     "workload_independence",
     "packet_loss_by_packet_type",
     "packet_loss_by_connection_age",

@@ -10,10 +10,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.collection.records import SystemLogRecord, TestLogRecord
 from repro.collection.store import FailureStore
+from .classification import MessageClassifier
+from .failure_model import SystemFailureType, UserFailureType
+
+#: What :func:`fold_store` hands every test record to.
+TestSink = Callable[[TestLogRecord, Optional[UserFailureType]], None]
+#: What :func:`fold_store` hands every system entry to.
+SystemSink = Callable[[SystemLogRecord, Optional[SystemFailureType]], None]
 
 
 class Source(enum.Enum):
@@ -110,6 +117,40 @@ def iter_node_logs(
     return iter_merged(test_stream, local_system, nap_system)
 
 
+def fold_store(
+    store: FailureStore,
+    *,
+    tests: Sequence[TestSink],
+    systems: Sequence[SystemSink],
+) -> None:
+    """One time-ordered pass over a whole store, fanned out to accumulators.
+
+    Reads exactly one test cursor and one system cursor and merges them
+    on ``(time, system-before-test)`` with an explicit two-way minimum
+    (heapq-free, DET004).  Each record is classified once — by message
+    text, through a :class:`MessageClassifier` local to this pass — and
+    handed with its failure type to every sink of its kind, in stream
+    order.  Every Table 1-4 statistic is such a sink, so a full render
+    decodes each stored row once instead of once per statistic.
+    """
+    classifier = MessageClassifier()
+    test_stream: Iterator[TestLogRecord] = store.iter_records(kind="test")
+    system_stream: Iterator[SystemLogRecord] = store.iter_records(kind="system")
+    test = next(test_stream, None)
+    system = next(system_stream, None)
+    while test is not None or system is not None:
+        if system is not None and (test is None or system.time <= test.time):
+            system_type = classifier.system(system)
+            for system_sink in systems:
+                system_sink(system, system_type)
+            system = next(system_stream, None)
+        else:
+            user_type = classifier.user(test)
+            for test_sink in tests:
+                test_sink(test, user_type)
+            test = next(test_stream, None)
+
+
 def merge_node_logs(
     repository: FailureStore,
     node: str,
@@ -131,5 +172,6 @@ __all__ = [
     "merge_records",
     "iter_merged",
     "iter_node_logs",
+    "fold_store",
     "merge_node_logs",
 ]

@@ -14,13 +14,16 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.collection.records import SystemLogRecord, TestLogRecord
 from repro.collection.store import FailureStore
-from .classification import classify_system_record, classify_user_record
-from .coalescence import PAPER_WINDOW, iter_coalesce
+from .coalescence import PAPER_WINDOW
+from .coalescence import iter_coalesce  # noqa: F401  (perfbench traces it by name here)
 from .failure_model import SystemFailureType, UserFailureType
-from .merge import Source, iter_node_logs
+from .merge import fold_store
+from .merge import iter_node_logs  # noqa: F401  (perfbench traces it by name here)
 
 #: Column key for tuples with no system-level evidence at all.
 NO_EVIDENCE = "none"
@@ -66,6 +69,16 @@ class RelationshipTable:
 
     def note_failure(self, user: UserFailureType) -> None:
         self.observed[user] = self.observed.get(user, 0) + 1
+
+    def merge(self, other: "RelationshipTable") -> None:
+        """Add ``other``'s counts; keys new to this table go last, in
+        ``other``'s order — as if its evidence had been noted here."""
+        for user, count in other.observed.items():
+            self.observed[user] = self.observed.get(user, 0) + count
+        for user, row in other.counts.items():
+            mine = self.counts.setdefault(user, {})
+            for column, count in row.items():
+                mine[column] = mine.get(column, 0) + count
 
     # -- derived views -------------------------------------------------------
 
@@ -113,6 +126,157 @@ class RelationshipTable:
         return max(row, key=row.get)
 
 
+#: Sort key of a tuple's error entries: time, then local (0) before NAP (1).
+_time_and_origin = itemgetter(0, 1)
+
+
+class _PairTuples:
+    """The open coalesced tuple of one (PANU, NAP) pair, mined on close.
+
+    Only what the mining reads is kept: the time of the last entry
+    (which fixes the tuple boundary), the classified user reports, and
+    the classified error entries as ``(time, origin rank, column)``.
+    """
+
+    __slots__ = ("host", "table", "last", "users", "systems")
+
+    def __init__(self, host: str) -> None:
+        self.host = host
+        self.table = RelationshipTable()
+        self.last: Optional[float] = None
+        self.users: List[Tuple[float, UserFailureType]] = []
+        self.systems: List[Tuple[float, int, str]] = []
+
+    def enter(self, time: float, window: float) -> None:
+        """Account one merged entry at ``time``, closing the tuple on a gap."""
+        if self.last is not None and time - self.last > window:
+            self.close()
+        self.last = time
+
+    def close(self) -> None:
+        """Mine the open tuple, if it holds a user report, and reset it."""
+        if self.users:
+            _mine_tuple(self.table, self.users, self.systems)
+        self.users = []
+        self.systems = []
+
+
+def _mine_tuple(
+    table: RelationshipTable,
+    users: List[Tuple[float, UserFailureType]],
+    systems: List[Tuple[float, int, str]],
+) -> None:
+    """Count the evidence of one coalesced tuple into ``table``."""
+    # The merged per-node log orders equal-time errors local before NAP;
+    # a stable sort on (time, origin) restores that order, so evidence
+    # reaches each per-user set exactly as the per-node merge fed it.
+    systems.sort(key=_time_and_origin)
+    # When a tuple collapses several failures together, each error
+    # entry is attributed to the *nearest* user report in time;
+    # otherwise collapses smear every cause over every failure and the
+    # relationship washes out.  The user reports arrive time-ordered,
+    # so the nearest one is found by bisection (ties go to the earlier
+    # report) — a dense tuple costs O((U+S) log U), not O(U*S).
+    user_times = [when for when, _ in users]
+    per_user: Dict[int, Set[str]] = {index: set() for index in range(len(users))}
+    for sys_time, _, column in systems:
+        after = bisect_left(user_times, sys_time)
+        left = user_times[after - 1] if after else None
+        right = user_times[after] if after < len(users) else None
+        if right is None or (left is not None and sys_time - left <= right - sys_time):
+            winner = left
+        else:
+            winner = right
+        # First report carrying the winning timestamp, so ties resolve
+        # exactly as a full first-minimum scan would.
+        per_user[bisect_left(user_times, winner)].add(column)
+    for index, (_, user_type) in enumerate(users):
+        table.note_failure(user_type)
+        evidence = per_user[index]
+        if evidence:
+            for column in evidence:
+                table.add_evidence(user_type, column)
+        else:
+            table.add_evidence(user_type, NO_EVIDENCE)
+
+
+class RelationshipMiner:
+    """Table 2 folded over one time-ordered pass of the whole store.
+
+    Feed it every record through :func:`repro.core.merge.fold_store`.
+    Each (PANU, NAP) pair keeps one open coalesced tuple: a PANU's
+    unmasked reports and its own system entries (``SYSTEM_LOCAL``) go to
+    its pairs, and a NAP's system entries (``SYSTEM_NAP``) go to every
+    pair naming that NAP.  Memory is one open tuple per pair.
+
+    Tuple boundaries and nearest-user attribution depend only on the
+    sorted entry times, so each pair's counts equal those of mining its
+    own merged log (:func:`repro.core.merge.iter_node_logs` +
+    :func:`repro.core.coalescence.iter_coalesce`).  The pairs' tables are
+    merged in ``node_nap_pairs`` order by :meth:`result`, which gives the
+    table the dict insertion order — and so the float summation order of
+    :meth:`RelationshipTable.column_totals` — of mining pair after pair.
+    """
+
+    def __init__(
+        self,
+        node_nap_pairs: Sequence[Tuple[str, str]],
+        window: float = PAPER_WINDOW,
+    ) -> None:
+        if window < 0:
+            raise ValueError(f"negative coalescence window: {window}")
+        self.window = window
+        self._pairs = [_PairTuples(node.split(":", 1)[-1]) for node, _ in node_nap_pairs]
+        self._by_node: Dict[str, List[_PairTuples]] = {}
+        self._by_nap: Dict[str, List[_PairTuples]] = {}
+        for (node, nap), pair in zip(node_nap_pairs, self._pairs):
+            self._by_node.setdefault(node, []).append(pair)
+            if nap:
+                self._by_nap.setdefault(nap, []).append(pair)
+
+    def add_test(self, record: TestLogRecord, user_type: Optional[UserFailureType]) -> None:
+        """Enter one user report into its PANU's pairs."""
+        if record.masked:
+            return  # never manifested to the user: not part of any merged log
+        for pair in self._by_node.get(record.node, ()):
+            pair.enter(record.time, self.window)
+            if user_type is not None:
+                pair.users.append((record.time, user_type))
+
+    def add_system(
+        self, record: SystemLogRecord, system_type: Optional[SystemFailureType]
+    ) -> None:
+        """Enter one system entry as local to its node and as NAP-side
+        evidence for every pair naming its node as the NAP."""
+        time = record.time
+        for pair in self._by_node.get(record.node, ()):
+            pair.enter(time, self.window)
+            if system_type is not None:
+                pair.systems.append((time, 0, column_key(system_type, "local")))
+        naps = self._by_nap.get(record.node)
+        if not naps:
+            return
+        # The NAP's log mixes all its PANUs.  Daemons log the requesting
+        # peer; an entry tagged with a different peer belongs to someone
+        # else's failure and is not evidence for this node.
+        column = peer = None
+        if system_type is not None:
+            column = column_key(system_type, "NAP")
+            peer = _peer_of(record.message)
+        for pair in naps:
+            pair.enter(time, self.window)
+            if column is not None and (peer is None or peer == pair.host):
+                pair.systems.append((time, 1, column))
+
+    def result(self) -> RelationshipTable:
+        """Close every open tuple and merge the pairs' tables in order."""
+        table = RelationshipTable()
+        for pair in self._pairs:
+            pair.close()
+            table.merge(pair.table)
+        return table
+
+
 def build_relationship_table(
     repository: FailureStore,
     node_nap_pairs: Sequence[Tuple[str, str]],
@@ -123,76 +287,18 @@ def build_relationship_table(
     ``node_nap_pairs`` lists every PANU with its testbed's NAP, e.g.
     ``[("random:Verde", "random:Giallo"), ...]``.  For each PANU the
     merged (Test + local System + NAP System) log is coalesced and the
-    tuples containing user reports are mined for evidence.  The merge
-    and the coalescence both stream off the store's cursors, so only
-    one open tuple per node is ever in memory — the evidence counts
-    (and therefore every derived percentage) are identical whichever
-    backend holds the records.
+    tuples containing user reports are mined for evidence — all PANUs
+    at once, in one merged scan of the store (:class:`RelationshipMiner`),
+    so only one open tuple per node is ever in memory and the evidence
+    counts are identical whichever backend holds the records.
     """
-    table = RelationshipTable()
-    for node, nap in node_nap_pairs:
-        host = node.split(":", 1)[-1]
-        merged = iter_node_logs(repository, node, nap)
-        for tpl in iter_coalesce(merged, window):
-            users = []  # (time, type) of every user report in the tuple
-            systems = []  # (time, column) of every classified error
-            for entry in tpl.entries:
-                if entry.source is Source.USER:
-                    user_type = classify_user_record(entry.record)
-                    if user_type is not None:
-                        users.append((entry.time, user_type))
-                else:
-                    system_type = classify_system_record(entry.record)
-                    if system_type is None:
-                        continue
-                    if entry.source is Source.SYSTEM_NAP:
-                        # The NAP's log mixes all six PANUs.  Daemons
-                        # log the requesting peer; an entry tagged with
-                        # a different peer belongs to someone else's
-                        # failure and is not evidence for this node.
-                        peer = _peer_of(entry.record.message)
-                        if peer is not None and peer != host:
-                            continue
-                        origin = "NAP"
-                    else:
-                        origin = "local"
-                    systems.append((entry.time, column_key(system_type, origin)))
-            if not users:
-                continue
-            # When a tuple collapses several failures together, each
-            # error entry is attributed to the *nearest* user report in
-            # time; otherwise collapses smear every cause over every
-            # failure and the relationship washes out.  The user reports
-            # arrive time-ordered, so the nearest one is found by
-            # bisection (ties go to the earlier report) — a dense tuple
-            # costs O((U+S) log U), not O(U*S).
-            user_times = [when for when, _ in users]
-            per_user = {index: set() for index in range(len(users))}
-            for sys_time, column in systems:
-                after = bisect_left(user_times, sys_time)
-                left = user_times[after - 1] if after else None
-                right = user_times[after] if after < len(users) else None
-                if right is None or (
-                    left is not None and sys_time - left <= right - sys_time
-                ):
-                    winner = left
-                else:
-                    winner = right
-                # First report carrying the winning timestamp, so ties
-                # resolve exactly as a full first-minimum scan would.
-                per_user[bisect_left(user_times, winner)].add(column)
-            for index, (_, user_type) in enumerate(users):
-                table.note_failure(user_type)
-                evidence = per_user[index]
-                if evidence:
-                    for column in evidence:
-                        table.add_evidence(user_type, column)
-                else:
-                    table.add_evidence(user_type, NO_EVIDENCE)
-    return table
+    miner = RelationshipMiner(node_nap_pairs, window)
+    fold_store(repository, tests=(miner.add_test,), systems=(miner.add_system,))
+    return miner.result()
 
 
 __all__ = [
+    "RelationshipMiner",
     "RelationshipTable",
     "build_relationship_table",
     "column_key",

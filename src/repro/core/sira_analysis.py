@@ -36,6 +36,12 @@ class SiraTable:
             self.counts.setdefault(user, {}).get(action, 0) + 1
         )
 
+    def add_test(self, record: TestLogRecord, user: Optional[UserFailureType]) -> None:
+        """Fold one failure report: unmasked, classified ones are counted."""
+        if record.masked or user is None:
+            return
+        self.add(user, record.recovered_by)
+
     def total(self, user: UserFailureType) -> int:
         return sum(self.counts.get(user, {}).values()) + self.unrecovered.get(user, 0)
 
@@ -130,12 +136,7 @@ def build_sira_table(records: Iterable[TestLogRecord]) -> SiraTable:
     """Mine Table 3 from unmasked failure reports."""
     table = SiraTable()
     for record in records:
-        if record.masked:
-            continue
-        user = classify_user_record(record)
-        if user is None:
-            continue
-        table.add(user, record.recovered_by)
+        table.add_test(record, classify_user_record(record))
     return table
 
 

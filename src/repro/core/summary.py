@@ -18,13 +18,16 @@ from repro.reporting import (
     render_relationship_table,
     render_sira_table,
 )
-from .classification import classification_report, classify_user_record
+from .classification import ClassificationCounts, classify_user_record
 from .dependability import ScenarioAccumulator, ScenarioMetrics
-from .distributions import packet_loss_by_application, workload_split
+from .distributions import PacketLosses, WorkloadSplit
 from .failure_model import FailureModel
-from .relationship import RelationshipTable, build_relationship_table
-from .sira_analysis import SiraTable, build_sira_table
-from .trends import TrendResult, campaign_trend
+from .merge import fold_store
+from .relationship import RelationshipMiner, RelationshipTable
+from .relationship import build_relationship_table  # noqa: F401  (traced by name here)
+from .sira_analysis import SiraTable
+from .sira_analysis import build_sira_table  # noqa: F401  (traced by name here)
+from .trends import FailureTimes, TrendResult
 
 
 @dataclass
@@ -38,6 +41,7 @@ class AnalysisSummary:
     siras_metrics: ScenarioMetrics
     split: Dict[str, float]
     by_application: Dict[str, float]
+    connection_age: List[Tuple[str, float]]
     trend: Optional[TrendResult]
 
     def render(self) -> str:
@@ -78,6 +82,11 @@ class AnalysisSummary:
                 sorted(self.by_application.items(), key=lambda kv: -kv[1]),
                 title="Packet losses per application",
             ))
+        if any(share for _, share in self.connection_age):
+            sections.append("")
+            sections.append(format_bar_chart(
+                self.connection_age, title="Packet losses vs connection age"
+            ))
         return "\n".join(sections)
 
 
@@ -95,29 +104,20 @@ def campaign_statistics(
     process boundaries and JSON checkpoints unchanged.  Key order is
     deterministic — pooled tables render identically run to run.
 
-    Works against any :class:`FailureStore`: the scalar statistics fold
-    in one streaming pass over the test-record cursor (classification,
-    masking split, workload split and the Table 4 accumulator all share
-    it), and the relationship table streams per node — so a 1000-seed
-    sweep's record stream is analysed out-of-core, never materialised.
-    The store iteration contract (time order, ingestion-stable ties)
-    makes the result byte-identical whichever backend holds the data.
+    Works against any :class:`FailureStore`: the statistics are read off
+    :func:`summarize_repository`'s single merged pass (one test cursor,
+    one system cursor, relationship coalescers for every PANU at once),
+    so a 1000-seed sweep's record stream is analysed out-of-core, never
+    materialised.  The store iteration contract (time order,
+    ingestion-stable ties) makes the result byte-identical whichever
+    backend holds the data.
     """
     from .failure_model import UserFailureType
 
-    totals = repository.summary()
-    user_classified = 0
-    unmasked = 0
-    split_counts: Dict[str, int] = {}
-    scenario = ScenarioAccumulator("siras")
-    for record in repository.iter_records(kind="test"):
-        if classify_user_record(record) is not None:
-            user_classified += 1
-        if record.masked:
-            continue
-        unmasked += 1
-        split_counts[record.testbed] = split_counts.get(record.testbed, 0) + 1
-        scenario.add(record)
+    summary = summarize_repository(repository, node_nap_pairs)
+    totals = summary.repository_summary
+    metrics = summary.siras_metrics
+    unmasked = metrics.failures
     stats: Dict[str, float] = {
         "total_failure_data_items": float(totals["total_failure_data_items"]),
         "user_level_reports": float(totals["user_level_reports"]),
@@ -129,13 +129,12 @@ def campaign_statistics(
         stats["failures_per_day"] = unmasked / (duration / 86_400.0)
     user_total = totals["user_level_reports"]
     stats["user_classified_pct"] = (
-        100.0 * user_classified / user_total if user_total else 0.0
+        100.0 * summary.classification["user_classified"] / user_total if user_total else 0.0
     )
-    shares = build_relationship_table(repository, node_nap_pairs).shares()
+    shares = summary.relationship.shares()
     for failure_type in UserFailureType:
         stats[f"failure_share_pct.{failure_type.name}"] = shares.get(failure_type, 0.0)
     if unmasked:
-        metrics = scenario.result()
         stats["mttf_s"] = metrics.mttf
         stats["mttr_s"] = metrics.mttr
         stats["availability"] = metrics.availability
@@ -143,12 +142,8 @@ def campaign_statistics(
     else:
         stats["mttf_s"] = stats["mttr_s"] = 0.0
         stats["availability"] = stats["coverage_pct"] = 0.0
-    split_total = sum(split_counts.values())
     for testbed in ("random", "realistic"):
-        count = split_counts.get(testbed, 0)
-        stats[f"workload_split_pct.{testbed}"] = (
-            100.0 * count / split_total if split_total else 0.0
-        )
+        stats[f"workload_split_pct.{testbed}"] = summary.split.get(testbed, 0.0)
     return stats
 
 
@@ -221,35 +216,54 @@ def summarize_repository(
     node_nap_pairs: List[Tuple[str, str]],
     duration: Optional[float] = None,
 ) -> AnalysisSummary:
-    """Run every single-repository analysis.
+    """Run every single-repository analysis in one pass over the store.
 
-    Every analysis consumes its own streaming cursor off the store
-    (each filters masked records itself), so the report is computed in
-    a handful of bounded-memory passes and works against the on-disk
-    columnar store as well as the in-memory oracle.
+    One merged, time-ordered scan (:func:`repro.core.merge.fold_store`:
+    one test cursor, one system cursor, each message text classified
+    once) feeds every accumulator — classification counts, the per-pair
+    relationship coalescers, the SIRA table, the Table 4 scenario, the
+    workload split, the packet-loss figures and the failure times — so
+    each stored row is decoded once, memory stays bounded (one open
+    tuple per PANU) and the report works against the on-disk columnar
+    store as well as the in-memory oracle.
     """
-
-    def test_stream():
-        return repository.iter_records(kind="test")
-
-    trend = None
-    if duration:
-        trend = campaign_trend(test_stream(), duration)
+    classification = ClassificationCounts()
+    relationship = RelationshipMiner(node_nap_pairs)
+    sira = SiraTable()
     scenario = ScenarioAccumulator("siras")
-    for record in test_stream():
-        if not record.masked:
-            scenario.add(record)
+    split = WorkloadSplit()
+    losses = PacketLosses()
+    failures = FailureTimes()
+    tests = [
+        classification.add_test,
+        relationship.add_test,
+        sira.add_test,
+        scenario.add_test,
+        split.add_test,
+        losses.add_test,
+    ]
+    if duration:
+        tests.append(failures.add_test)
+    fold_store(
+        repository,
+        tests=tests,
+        systems=(classification.add_system, relationship.add_system),
+    )
+    users, systems = classification.user_total, classification.system_total
     return AnalysisSummary(
-        repository_summary=repository.summary(),
-        classification=classification_report(
-            test_stream(), repository.iter_records(kind="system")
-        ),
-        relationship=build_relationship_table(repository, node_nap_pairs),
-        sira=build_sira_table(test_stream()),
+        repository_summary={
+            "user_level_reports": users,
+            "system_level_entries": systems,
+            "total_failure_data_items": users + systems,
+        },
+        classification=classification.report(),
+        relationship=relationship.result(),
+        sira=sira,
         siras_metrics=scenario.result(),
-        split=workload_split(test_stream()),
-        by_application=packet_loss_by_application(test_stream()),
-        trend=trend,
+        split=split.shares(),
+        by_application=losses.application_shares(),
+        connection_age=losses.connection_age_shares(),
+        trend=failures.trend(duration) if duration else None,
     )
 
 

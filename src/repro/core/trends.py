@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.collection.records import TestLogRecord
+from .failure_model import UserFailureType
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,28 @@ def intensity_series(
     return series
 
 
+class FailureTimes:
+    """The unmasked failure times of a time-ordered report stream."""
+
+    def __init__(self) -> None:
+        self.times: List[float] = []
+
+    def add_test(self, record: TestLogRecord, user_type: Optional[UserFailureType]) -> None:
+        """Keep the time of one report if it is unmasked."""
+        if not record.masked:
+            self.times.append(record.time)
+
+    def trend(self, period: float) -> TrendResult:
+        """Laplace test over the times folded so far."""
+        return laplace_test(self.times, period)
+
+
 def campaign_trend(records: Iterable[TestLogRecord], period: float) -> TrendResult:
     """Laplace test over a campaign's unmasked failure reports."""
-    times = [r.time for r in records if not r.masked]
-    return laplace_test(times, period)
+    failures = FailureTimes()
+    for record in records:
+        failures.add_test(record, None)
+    return failures.trend(period)
 
 
 def replacement_effect(
@@ -120,5 +139,6 @@ __all__ = [
     "laplace_test",
     "intensity_series",
     "campaign_trend",
+    "FailureTimes",
     "replacement_effect",
 ]
