@@ -20,11 +20,24 @@ strings (node, facility, severity, phase, testbed, workload) are
 interned so equality checks inside the analysis pipeline reduce to
 pointer comparisons, and ``TestLogRecord.recovery`` is stored as a
 tuple (accepting any sequence at construction).
+
+Every record crosses several boundaries as plain data (shard payload,
+cache entry, JSONL repository, SQLite row), so each class carries an
+explicit, reflection-free codec.  ``to_dict`` is a dict literal in
+field order; ``dataclasses.asdict``, which it replaces with the same
+output, recurses and ``deepcopy``s every field at 20 to 35 times the
+cost.  ``from_dict`` takes a fast path when the keys are exactly the
+schema's; otherwise :func:`_known_fields` drops unknown keys, by the
+same rule for records and for their recovery attempts.  Adding a field
+to a record therefore means updating ``to_dict``, ``from_dict`` and the
+columnar row pair in :mod:`repro.collection.store`;
+``tests/test_record_codec.py`` checks the codec against an ``asdict``
+reference and fails on a missed field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from sys import intern
 from typing import Any, Dict, Optional, Tuple
 
@@ -40,20 +53,22 @@ def _add_slots(cls):
     standard recipe — recreate the class with ``__slots__`` naming its
     fields and without the class-level default values (the generated
     ``__init__`` carries its own defaults), so instances drop their
-    per-record ``__dict__``.
+    per-record ``__dict__``.  The class also gets ``_FIELDS``, its
+    field-name set, computed once here for the ``from_dict`` key check.
     """
-    if "__slots__" in cls.__dict__:
-        return cls
     field_names = tuple(f.name for f in fields(cls))
-    cls_dict = dict(cls.__dict__)
-    cls_dict["__slots__"] = field_names
-    for name in field_names:
-        cls_dict.pop(name, None)
-    cls_dict.pop("__dict__", None)
-    cls_dict.pop("__weakref__", None)
-    new_cls = type(cls)(cls.__name__, cls.__bases__, cls_dict)
-    new_cls.__qualname__ = cls.__qualname__
-    return new_cls
+    if "__slots__" not in cls.__dict__:
+        cls_dict = dict(cls.__dict__)
+        cls_dict["__slots__"] = field_names
+        for name in field_names:
+            cls_dict.pop(name, None)
+        cls_dict.pop("__dict__", None)
+        cls_dict.pop("__weakref__", None)
+        new_cls = type(cls)(cls.__name__, cls.__bases__, cls_dict)
+        new_cls.__qualname__ = cls.__qualname__
+        cls = new_cls
+    cls._FIELDS = frozenset(field_names)
+    return cls
 
 
 def _known_fields(cls, data: Dict[str, Any]) -> Dict[str, Any]:
@@ -62,7 +77,7 @@ def _known_fields(cls, data: Dict[str, Any]) -> Dict[str, Any]:
     Repositories dumped by newer versions of the package may carry extra
     per-record fields; loading should tolerate them rather than crash.
     """
-    known = {f.name for f in fields(cls)}
+    known = cls._FIELDS
     unknown = [key for key in data if key not in known]
     if unknown:
         log.debug("%s: ignoring unknown fields %s", cls.__name__, unknown)
@@ -89,11 +104,21 @@ class SystemLogRecord:
         object.__setattr__(self, "severity", intern(self.severity))
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        """The entry as plain data, keys in field order."""
+        return {
+            "time": self.time,
+            "node": self.node,
+            "facility": self.facility,
+            "severity": self.severity,
+            "message": self.message,
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SystemLogRecord":
-        return cls(**_known_fields(cls, data))
+        """Rebuild an entry from :meth:`to_dict` data (unknown keys dropped)."""
+        if data.keys() != cls._FIELDS:
+            data = _known_fields(cls, data)
+        return cls(**data)
 
 
 @_add_slots
@@ -106,7 +131,23 @@ class RecoveryAttempt:
     duration: float  # seconds the attempt took
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        """The attempt as plain data, keys in field order."""
+        return {
+            "action": self.action,
+            "succeeded": self.succeeded,
+            "duration": self.duration,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "RecoveryAttempt":
+        """Rebuild an attempt from :meth:`to_dict` data (unknown keys dropped).
+
+        The one decoder for attempts, shared by record payloads and the
+        columnar store's ``recovery`` column.
+        """
+        if data.keys() != cls._FIELDS:
+            data = _known_fields(cls, data)
+        return cls(**data)
 
 
 @_add_slots
@@ -163,15 +204,34 @@ class TestLogRecord:
         though the in-memory field is a tuple, so dumped repositories
         stay stable across versions.
         """
-        data = asdict(self)
-        data["recovery"] = [attempt.to_dict() for attempt in self.recovery]
-        return data
+        return {
+            "time": self.time,
+            "node": self.node,
+            "testbed": self.testbed,
+            "workload": self.workload,
+            "message": self.message,
+            "phase": self.phase,
+            "packet_type": self.packet_type,
+            "packets_sent": self.packets_sent,
+            "packets_expected": self.packets_expected,
+            "scan_flag": self.scan_flag,
+            "sdp_flag": self.sdp_flag,
+            "distance": self.distance,
+            "cycle_on_connection": self.cycle_on_connection,
+            "idle_before_cycle": self.idle_before_cycle,
+            "masked": self.masked,
+            "recovery": [attempt.to_dict() for attempt in self.recovery],
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TestLogRecord":
-        payload = _known_fields(cls, dict(data))
-        payload["recovery"] = tuple(
-            RecoveryAttempt(**a) for a in payload.get("recovery", ())
+        """Rebuild a report from :meth:`to_dict` data (unknown keys dropped)."""
+        if data.keys() != cls._FIELDS:
+            data = _known_fields(cls, data)
+        payload = dict(data)
+        attempts = payload.get("recovery")
+        payload["recovery"] = (
+            tuple(map(RecoveryAttempt.from_dict, attempts)) if attempts else ()
         )
         return cls(**payload)
 

@@ -178,6 +178,12 @@ class FailureStore(Protocol):
 # extract the written and read column sets from the AST (WIRE001) and
 # check the version stamp handshake (WIRE003).
 
+#: Encoder for the ``recovery`` column: the bytes of
+#: ``json.dumps(..., separators=(",", ":"))``, built once rather than
+#: per row (``json.dumps`` constructs a new encoder whenever it is
+#: given non-default options).
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
 
 def _test_row(record: TestLogRecord) -> Dict[str, object]:
     """Columnar row for one user-level report (writer side)."""
@@ -197,14 +203,15 @@ def _test_row(record: TestLogRecord) -> Dict[str, object]:
         "cycle_on_connection": record.cycle_on_connection,
         "idle_before_cycle": record.idle_before_cycle,
         "masked": int(record.masked),
-        "recovery": json.dumps(
-            [attempt.to_dict() for attempt in record.recovery], separators=(",", ":")
+        "recovery": _COMPACT_JSON.encode(
+            [attempt.to_dict() for attempt in record.recovery]
         ),
     }
 
 
 def _test_record(row: sqlite3.Row) -> TestLogRecord:
     """Rebuild a user-level report from its columnar row (reader side)."""
+    recovery = row["recovery"]
     return TestLogRecord(
         time=row["time"],
         node=row["node"],
@@ -221,8 +228,10 @@ def _test_record(row: sqlite3.Row) -> TestLogRecord:
         cycle_on_connection=row["cycle_on_connection"],
         idle_before_cycle=row["idle_before_cycle"],
         masked=bool(row["masked"]),
-        recovery=tuple(
-            RecoveryAttempt(**attempt) for attempt in json.loads(row["recovery"])
+        recovery=(
+            ()
+            if recovery == "[]"
+            else tuple(map(RecoveryAttempt.from_dict, json.loads(recovery)))
         ),
     )
 
