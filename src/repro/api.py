@@ -133,9 +133,10 @@ class ExperimentConfig:
             )
         #: Optional path to a columnar SQLite failure store
         #: (:class:`repro.collection.store.SQLiteStore`).  :meth:`run`
-        #: spills the replicate's records there; :meth:`sweep` spills
-        #: every nominal shard's records shard-by-shard, so the merged
-        #: stream never has to materialise in RAM.  Like ``backend``,
+        #: appends the replicate's records there; :meth:`sweep` replaces
+        #: the store with every nominal shard's records, spilled
+        #: shard-by-shard, so the merged stream never has to
+        #: materialise in RAM.  Like ``backend``,
         #: deliberately *not* part of :meth:`spec` or the sweep
         #: fingerprint — where records land cannot change a result byte.
         self.store = None if store is None else Path(store)
@@ -258,7 +259,9 @@ class ExperimentConfig:
         shard's records into the columnar SQLite store at that path as
         the sweep completes — shard by shard, in canonical seed order,
         so the merged record stream is queryable and analysable
-        out-of-core without ever materialising in RAM.
+        out-of-core without ever materialising in RAM.  The store is
+        built beside that path and renamed into place, replacing any
+        store already there (:meth:`SweepResult.into_store`).
         """
         from repro.parallel.sweep import _execute_sweep
 

@@ -655,7 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--store", default=None,
                        help="spill every shard into a columnar SQLite "
                             "failure store at this path instead of "
-                            "materialising the merged JSONL repository "
+                            "materialising the merged JSONL repository; "
+                            "an existing store there is replaced "
                             "(query it with 'repro-bt query')")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -31,8 +31,10 @@ import json
 import os
 import sqlite3
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 from typing import (
+    Any,
     Dict,
     IO,
     Iterable,
@@ -106,6 +108,36 @@ def atomic_writer(path: Path) -> Iterator[IO[str]]:
                 tmp.unlink()
             except OSError:  # pragma: no cover - benign cleanup race
                 pass
+
+
+@contextmanager
+def atomic_store(path: PathLike) -> Iterator["SQLiteStore"]:
+    """A fresh :class:`SQLiteStore` that atomically replaces ``path`` on success.
+
+    :func:`atomic_writer`'s discipline for a database: the store is
+    built at a same-directory temp path, committed (SQLite syncs the
+    file on commit) and closed, then ``os.replace`` publishes it.  On
+    any error the temp database and its rollback journal are removed
+    and ``path`` keeps its previous contents, or stays absent.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    # A build left by a killed process with the same pid must not be
+    # appended to.
+    _remove_database(tmp)
+    try:
+        with SQLiteStore(tmp) as store:
+            yield store
+        os.replace(tmp, path)
+    finally:
+        _remove_database(tmp)
+
+
+def _remove_database(path: Path) -> None:
+    """Delete a database file and its rollback journal, if present."""
+    path.unlink(missing_ok=True)
+    path.with_name(path.name + "-journal").unlink(missing_ok=True)
 
 
 # -- the protocol ------------------------------------------------------------
@@ -185,27 +217,51 @@ class FailureStore(Protocol):
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-def _test_row(record: TestLogRecord) -> Dict[str, object]:
-    """Columnar row for one user-level report (writer side)."""
+#: Key order of :meth:`RecoveryAttempt.to_dict`.  An attempt dict in
+#: this order is encoded as given; any other shape is normalised first.
+_ATTEMPT_KEYS = ("action", "succeeded", "duration")
+
+
+def _recovery_column(attempts: List[Dict[str, Any]]) -> str:
+    """The ``recovery`` column: compact JSON of the attempt dicts."""
+    if not attempts:
+        return "[]"
+    return _COMPACT_JSON.encode([
+        attempt
+        if tuple(attempt) == _ATTEMPT_KEYS
+        else RecoveryAttempt.from_dict(attempt).to_dict()
+        for attempt in attempts
+    ])
+
+
+def _test_row(data: Dict[str, Any]) -> Dict[str, object]:
+    """Columnar row for one user-level report (writer side).
+
+    ``data`` has the :meth:`TestLogRecord.to_dict` shape, whether it
+    comes from a live record or straight from a shard payload.  A dict
+    whose keys are not exactly the schema's goes through
+    :meth:`TestLogRecord.from_dict` first, so unknown keys are dropped
+    and missing defaulted keys filled, as on every other decode path.
+    """
+    if data.keys() != TestLogRecord._FIELDS:
+        data = TestLogRecord.from_dict(data).to_dict()
     return {
-        "time": record.time,
-        "node": record.node,
-        "testbed": record.testbed,
-        "workload": record.workload,
-        "message": record.message,
-        "phase": record.phase,
-        "packet_type": record.packet_type,
-        "packets_sent": record.packets_sent,
-        "packets_expected": record.packets_expected,
-        "scan_flag": int(record.scan_flag),
-        "sdp_flag": int(record.sdp_flag),
-        "distance": record.distance,
-        "cycle_on_connection": record.cycle_on_connection,
-        "idle_before_cycle": record.idle_before_cycle,
-        "masked": int(record.masked),
-        "recovery": _COMPACT_JSON.encode(
-            [attempt.to_dict() for attempt in record.recovery]
-        ),
+        "time": data["time"],
+        "node": data["node"],
+        "testbed": data["testbed"],
+        "workload": data["workload"],
+        "message": data["message"],
+        "phase": data["phase"],
+        "packet_type": data["packet_type"],
+        "packets_sent": data["packets_sent"],
+        "packets_expected": data["packets_expected"],
+        "scan_flag": int(data["scan_flag"]),
+        "sdp_flag": int(data["sdp_flag"]),
+        "distance": data["distance"],
+        "cycle_on_connection": data["cycle_on_connection"],
+        "idle_before_cycle": data["idle_before_cycle"],
+        "masked": int(data["masked"]),
+        "recovery": _recovery_column(data["recovery"]),
     }
 
 
@@ -236,15 +292,31 @@ def _test_record(row: sqlite3.Row) -> TestLogRecord:
     )
 
 
-def _system_row(record: SystemLogRecord) -> Dict[str, object]:
-    """Columnar row for one system-level entry (writer side)."""
+def _system_row(data: Dict[str, Any]) -> Dict[str, object]:
+    """Columnar row for one system-level entry (writer side).
+
+    ``data`` has the :meth:`SystemLogRecord.to_dict` shape; any other
+    key set goes through :meth:`SystemLogRecord.from_dict` first.
+    """
+    if data.keys() != SystemLogRecord._FIELDS:
+        data = SystemLogRecord.from_dict(data).to_dict()
     return {
-        "time": record.time,
-        "node": record.node,
-        "facility": record.facility,
-        "severity": record.severity,
-        "message": record.message,
+        "time": data["time"],
+        "node": data["node"],
+        "facility": data["facility"],
+        "severity": data["severity"],
+        "message": data["message"],
     }
+
+
+def _system_rows(entries: Iterable[Dict[str, Any]]) -> Iterator[Dict[str, object]]:
+    """System rows plus the derived ``testbed`` index column."""
+    for data in entries:
+        row = _system_row(data)
+        # Derived index column, not part of the record wire format:
+        # system records carry only their node name.
+        row["testbed"] = testbed_of(row["node"])
+        yield row
 
 
 def _system_record(row: sqlite3.Row) -> SystemLogRecord:
@@ -331,12 +403,15 @@ _INSERT_SYSTEM = (
     " VALUES (:time, :node, :testbed, :facility, :severity, :message)"
 )
 
+#: Sort key of record dicts: their ``time`` field.
+_TIME = itemgetter("time")
+
 
 class SQLiteStore:
     """Append-only, columnar, on-disk :class:`FailureStore` backend.
 
     One table per record stream with typed columns, covering indexes
-    on ``(time)``, ``(node, time)`` and ``(testbed, time)``, batched
+    on ``(time)``, ``(node, time)`` and ``(testbed, time)``, streaming
     ``executemany`` ingestion, and streaming ``fetchmany`` query
     cursors — so a 1000-seed sweep's record stream can be ingested and
     analysed shard-by-shard without ever materialising it in RAM.
@@ -347,9 +422,9 @@ class SQLiteStore:
     schema.  Ingestion into an existing store appends.
     """
 
-    #: Rows per ``executemany`` flush and per ``fetchmany`` page: large
-    #: enough to amortise the SQLite call overhead, small enough that a
-    #: batch of row dicts stays far below any campaign's record count.
+    #: Rows per ``fetchmany`` page: large enough to amortise the SQLite
+    #: call overhead, small enough that a page of rows stays far below
+    #: any campaign's record count.
     BATCH = 2048
 
     def __init__(self, path: PathLike = ":memory:") -> None:
@@ -393,7 +468,14 @@ class SQLiteStore:
         _check_meta(meta)
 
     def flush(self) -> None:
-        """Commit pending appends and fsync the database file."""
+        """Commit every pending append in one transaction.
+
+        The commit is what makes the rows durable: SQLite's default
+        ``synchronous=FULL`` syncs the database file on commit.  Rows
+        from :meth:`ingest_payload` are pending until this call (or
+        :meth:`close`); :meth:`ingest_test` and :meth:`ingest_system`
+        commit their own.
+        """
         self._conn.commit()
 
     def close(self) -> None:
@@ -409,33 +491,45 @@ class SQLiteStore:
     # -- ingestion ---------------------------------------------------------
 
     def ingest_test(self, records: Iterable[TestLogRecord]) -> int:
-        """Append user-level reports in batches; returns the number ingested."""
-        return self._ingest(records, _INSERT_TEST, _test_row, derive_testbed=False)
-
-    def ingest_system(self, records: Iterable[SystemLogRecord]) -> int:
-        """Append system-level entries in batches; returns the number ingested."""
-        return self._ingest(records, _INSERT_SYSTEM, _system_row, derive_testbed=True)
-
-    def _ingest(self, records, statement: str, to_row, derive_testbed: bool) -> int:
-        cursor = self._conn.cursor()
-        rows: List[Dict[str, object]] = []
-        count = 0
-        for record in records:
-            row = to_row(record)
-            if derive_testbed:
-                # Derived index column, not part of the record wire
-                # format: system records carry only their node name.
-                row["testbed"] = testbed_of(record.node)
-            rows.append(row)
-            if len(rows) >= self.BATCH:
-                cursor.executemany(statement, rows)
-                count += len(rows)
-                rows = []
-        if rows:
-            cursor.executemany(statement, rows)
-            count += len(rows)
+        """Append user-level reports and commit; returns the number ingested."""
+        count = self._insert(
+            _INSERT_TEST, (_test_row(record.to_dict()) for record in records)
+        )
         self._conn.commit()
         return count
+
+    def ingest_system(self, records: Iterable[SystemLogRecord]) -> int:
+        """Append system-level entries and commit; returns the number ingested."""
+        count = self._insert(
+            _INSERT_SYSTEM, _system_rows(record.to_dict() for record in records)
+        )
+        self._conn.commit()
+        return count
+
+    def ingest_payload(self, payload: Dict[str, List[dict]]) -> int:
+        """Append the records of a ``CentralRepository.to_payload`` document.
+
+        Rows are built straight from the record dicts, with no record
+        objects in between, in the stable time order
+        :meth:`CentralRepository.from_payload` would iterate them (the
+        lists ``to_payload`` writes are already in that order, so the
+        sort is one linear pass).  Unlike :meth:`ingest_test` this does
+        not commit: the rows stay pending until :meth:`flush`, so
+        spilling many shards is one transaction.  Returns the number
+        of records ingested.
+        """
+        count = self._insert(
+            _INSERT_TEST, map(_test_row, sorted(payload.get("test", ()), key=_TIME))
+        )
+        count += self._insert(
+            _INSERT_SYSTEM, _system_rows(sorted(payload.get("system", ()), key=_TIME))
+        )
+        return count
+
+    def _insert(self, statement: str, rows: Iterable[Dict[str, object]]) -> int:
+        # executemany pulls rows from the iterator one at a time, so the
+        # record stream is never materialised.
+        return self._conn.executemany(statement, rows).rowcount
 
     def ingest_store(self, source: "FailureStore") -> int:
         """Append every record of another store; returns the number ingested."""
@@ -537,6 +631,7 @@ __all__ = [
     "StoreVersionError",
     "STORE_VERSION",
     "STORE_LAYOUT",
+    "atomic_store",
     "atomic_writer",
     "open_store",
     "testbed_of",

@@ -16,15 +16,21 @@ hit under the sweep's fingerprint.
 
 Integrity is enforced on *read*, not trusted from the writer:
 
-* every entry embeds the SHA-256 of its canonical shard payload JSON;
-  ``get`` recomputes it, so a truncated or bit-flipped entry is
-  detected, evicted and re-simulated — never served;
-* entries are written via :func:`atomic_write_json` (unique temp name
-  per writer, ``fsync``, ``os.replace``), so a worker killed mid-write
-  can never leave a half-entry under the final name;
+* an entry is two newline-terminated lines: a compact JSON header
+  (``version``, ``fingerprint``, ``seed``, ``sha256``), then the
+  compact shard payload JSON.  ``sha256`` is taken over the payload
+  line's bytes exactly as written, so ``put`` serialises the payload
+  once and ``get`` hashes the raw bytes before it parses anything; a
+  truncated, bit-flipped or hand-edited entry is detected, evicted and
+  re-simulated, never served;
+* entries are written via :func:`~repro.collection.store.atomic_writer`
+  (unique temp name per writer, ``fsync``, ``os.replace``), so a worker
+  killed mid-write can never leave a half-entry under the final name;
 * the key includes the sweep fingerprint, so any spec change (duration,
   masking, profiles, fidelity, rare boost, payload schema version)
-  changes the key and can never hit a stale entry.
+  changes the key and can never hit a stale entry.  It also includes
+  :data:`CACHE_VERSION`, so entries of an older layout are never read:
+  they are recomputed once and ``repro-bt cache prune`` reclaims them.
 
 Layout under the cache root::
 
@@ -54,38 +60,11 @@ log = get_logger("parallel.cache")
 
 #: Version of the cache entry layout; part of every key derivation so a
 #: layout change starts a disjoint keyspace instead of mis-parsing.
-CACHE_VERSION = 1
+#: 2: header line + payload line, digest over the payload bytes.
+CACHE_VERSION = 2
 
 #: Environment variable naming a default cache root for the CLI.
 CACHE_ENV = "REPRO_BT_CACHE"
-
-
-def atomic_write_json(path: Path, document: dict) -> None:
-    """Write ``document`` to ``path`` atomically and durably.
-
-    The temp name is unique per writer process (two concurrent sweeps
-    storing the same shard must not interleave into one temp file), the
-    payload is flushed and fsynced before the rename, and ``os.replace``
-    makes the publish atomic: any reader ever sees either the old
-    complete file or the new complete file, never a torn one.  A writer
-    killed at any point leaves at worst an orphaned ``*.tmp`` file.
-    The document is serialised whole and written in one call: the same
-    bytes as a streamed ``json.dump``, without its per-chunk writes.
-
-    The discipline itself lives in
-    :func:`repro.collection.store.atomic_writer` so every on-disk
-    artifact — cache entries, JSONL repositories, the columnar store's
-    sidecar files — publishes the same way.
-    """
-    text = json.dumps(document, separators=(",", ":"))
-    with atomic_writer(path) as handle:
-        handle.write(text)
-
-
-def payload_digest(payload: dict) -> str:
-    """SHA-256 of a shard payload's canonical JSON serialisation."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def shard_key(fingerprint: str, seed: int) -> str:
@@ -123,40 +102,43 @@ class ShardCache:
         """The cached shard for this identity, or None to simulate it.
 
         Every miss path is silent-but-logged: a missing entry, an
-        unparsable entry, an identity mismatch (which would be a hash
-        collision or manual tampering) and a payload-digest mismatch
-        (truncation, bit rot) all return None — the caller re-simulates
-        and overwrites.  Corrupt entries are evicted on detection.
+        unreadable or malformed entry, an identity mismatch (which
+        would be a hash collision or manual tampering) and a digest
+        mismatch (truncation, bit rot) all return None — the caller
+        re-simulates and overwrites.  Corrupt entries are evicted on
+        detection.  The payload line is hashed as read and parsed only
+        once its digest matches.
         """
         key = shard_key(fingerprint, seed)
         path = self.entry_path(key)
         if not path.exists():
             return None
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
+            lines = path.read_bytes().split(b"\n")
+            if len(lines) != 3 or lines[2]:
+                raise ValueError("not a header line and a payload line")
+            header = json.loads(lines[0])
+            if not isinstance(header, dict):
+                raise ValueError("header is not a JSON object")
         except (ValueError, OSError) as error:
             log.warning("cache %s unreadable (%s), evicting", key[:12], error)
             self._evict(path)
             return None
         if (
-            entry.get("fingerprint") != fingerprint
-            or entry.get("seed") != int(seed)
-            or entry.get("version") != CACHE_VERSION
+            header.get("fingerprint") != fingerprint
+            or header.get("seed") != int(seed)
+            or header.get("version") != CACHE_VERSION
         ):
             log.warning("cache %s identity mismatch, evicting", key[:12])
             self._evict(path)
             return None
-        payload = entry.get("shard")
-        if not isinstance(payload, dict) or payload_digest(payload) != entry.get(
-            "sha256"
-        ):
+        if hashlib.sha256(lines[1]).hexdigest() != header.get("sha256"):
             log.warning("cache %s failed digest validation, evicting", key[:12])
             self._evict(path)
             return None
         try:
-            shard = ShardResult.from_payload(payload)
-        except (ValueError, KeyError, TypeError) as error:
+            shard = ShardResult.from_payload(json.loads(lines[1]))
+        except (ValueError, KeyError, TypeError, AttributeError) as error:
             log.warning("cache %s payload invalid (%s), evicting", key[:12], error)
             self._evict(path)
             return None
@@ -164,20 +146,25 @@ class ShardCache:
         return shard
 
     def put(self, fingerprint: str, seed: int, shard: ShardResult) -> Path:
-        """Store a completed shard under its content address."""
+        """Store a completed shard under its content address.
+
+        The payload is serialised once; its digest is taken over those
+        bytes, which are written unchanged as the entry's second line.
+        """
         key = shard_key(fingerprint, seed)
         path = self.entry_path(key)
-        payload = shard.to_payload()
-        atomic_write_json(
-            path,
+        payload = json.dumps(shard.to_payload(), separators=(",", ":"))
+        header = json.dumps(
             {
                 "version": CACHE_VERSION,
                 "fingerprint": fingerprint,
                 "seed": int(seed),
-                "sha256": payload_digest(payload),
-                "shard": payload,
+                "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
             },
+            separators=(",", ":"),
         )
+        with atomic_writer(path) as handle:
+            handle.write(f"{header}\n{payload}\n")
         return path
 
     def _evict(self, path: Path) -> None:
@@ -230,7 +217,5 @@ __all__ = [
     "CACHE_VERSION",
     "CacheStats",
     "ShardCache",
-    "atomic_write_json",
-    "payload_digest",
     "shard_key",
 ]

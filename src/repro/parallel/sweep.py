@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import get_logger
 from repro.collection.repository import CentralRepository
-from repro.collection.store import SQLiteStore
+from repro.collection.store import atomic_store
 from repro.core.campaign import CampaignSpec
 from repro.obs.campaign import SweepMonitor, SweepWatchdog, write_sweep_textfile
 from repro.obs.journal import (
@@ -132,25 +132,30 @@ class SweepResult:
     def into_store(self, target: Union[str, Path]) -> Path:
         """Spill every nominal shard's records into a columnar SQLite store.
 
-        The out-of-core replacement for :attr:`repository`: shards are
-        ingested in canonical (ascending-seed) order, one shard's
-        repository at a time, so peak memory is a single shard — never
-        the merged stream.  Because the in-memory merge concatenates
-        shard record lists in exactly this order before its stable
-        time-sort, the store's iteration order (``ORDER BY time, id``)
-        matches the merged repository record for record, and every
-        streaming analysis is byte-identical over either.  Returns the
-        store path (also recorded on :attr:`store_path`).
+        The out-of-core replacement for :attr:`repository`: rows are
+        built straight from each shard's ``repository_payload`` dicts
+        (:meth:`~repro.collection.store.SQLiteStore.ingest_payload`),
+        with no record objects in between, one shard at a time in
+        canonical (ascending-seed) order, so peak memory is a single
+        shard, never the merged stream.  Because the in-memory merge concatenates shard record
+        lists in exactly this order before its stable time-sort, the
+        store's iteration order (``ORDER BY time, id``) matches the
+        merged repository record for record, and every streaming
+        analysis is byte-identical over either.
+
+        All shards go in as one transaction into a fresh store at a
+        sibling temp path, which ``os.replace`` then publishes
+        (:func:`~repro.collection.store.atomic_store`): ``target``
+        holds exactly this sweep's records, whatever it held before,
+        and a spill that fails part-way leaves it untouched.  Returns
+        the store path (also recorded on :attr:`store_path`).
         """
-        store = SQLiteStore(target)
-        try:
+        target = Path(target)
+        with atomic_store(target) as store:
             for shard in self.shards:
-                store.ingest_store(shard.repository())
-            store.flush()
-        finally:
-            store.close()
-        self.store_path = Path(target)
-        return self.store_path
+                store.ingest_payload(shard.repository_payload)
+        self.store_path = target
+        return target
 
     @property
     def metrics(self) -> MetricsRegistry:

@@ -16,6 +16,7 @@ Pins the PR's three new contracts on top of :mod:`repro.parallel`:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -46,7 +47,8 @@ from repro.parallel import (
     shard_seeds,
     sweep_fingerprint,
 )
-from repro.parallel.cache import atomic_write_json, payload_digest, shard_key
+from repro.collection.store import atomic_writer
+from repro.parallel.cache import CACHE_VERSION, shard_key
 from repro.parallel.seeds import shard_seed
 from repro.parallel.worker import (
     TASK_VERSION,
@@ -266,20 +268,72 @@ class TestShardCache:
         assert shard_key("a" * 64, 1) != shard_key("a" * 64, 2)
         assert shard_key("a" * 64, 1) != shard_key("b" * 64, 1)
 
-    def test_payload_digest_is_order_insensitive(self):
-        assert payload_digest({"a": 1, "b": 2}) == payload_digest({"b": 2, "a": 1})
-
     def test_atomic_write_publishes_complete_documents(self, tmp_path):
         target = tmp_path / "doc.json"
-        atomic_write_json(target, {"v": 1})
-        atomic_write_json(target, {"v": 2})
+
+        def publish(document):
+            with atomic_writer(target) as handle:
+                handle.write(json.dumps(document, separators=(",", ":")))
+
+        publish({"v": 1})
+        publish({"v": 2})
         assert json.loads(target.read_text(encoding="utf-8")) == {"v": 2}
         assert not list(tmp_path.glob(".*tmp"))
         document = {"v": 3, "shard": {"x": [1.5, None, "é"], "n": {}}}
-        atomic_write_json(target, document)
+        publish(document)
         assert target.read_bytes() == json.dumps(
             document, separators=(",", ":")
         ).encode("utf-8")
+
+    # -- the v2 entry layout: header line + payload line ----------------------
+
+    def test_entry_is_a_header_line_and_a_payload_line(self, tmp_path, shard):
+        path = ShardCache(tmp_path).put(self.FINGERPRINT, shard.seed, shard)
+        head, payload, tail = path.read_bytes().split(b"\n")
+        assert tail == b""
+        assert json.loads(head) == {
+            "version": CACHE_VERSION,
+            "fingerprint": self.FINGERPRINT,
+            "seed": shard.seed,
+            "sha256": hashlib.sha256(payload).hexdigest(),
+        }
+        assert payload == json.dumps(
+            shard.to_payload(), separators=(",", ":")
+        ).encode("utf-8")
+
+    def _rewrite_header(self, path, **changes):
+        head, payload, tail = path.read_bytes().split(b"\n")
+        header = dict(json.loads(head), **changes)
+        path.write_bytes(
+            json.dumps(header, separators=(",", ":")).encode("utf-8")
+            + b"\n" + payload + b"\n" + tail
+        )
+
+    def test_changed_digest_evicted(self, tmp_path, shard):
+        cache = ShardCache(tmp_path)
+        path = cache.put(self.FINGERPRINT, shard.seed, shard)
+        self._rewrite_header(path, sha256="0" * 64)
+        assert cache.get(self.FINGERPRINT, shard.seed) is None
+        assert not path.exists()
+
+    def test_missing_newline_evicted(self, tmp_path, shard):
+        cache = ShardCache(tmp_path)
+        path = cache.put(self.FINGERPRINT, shard.seed, shard)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"", 1))
+        assert cache.get(self.FINGERPRINT, shard.seed) is None
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"fingerprint": "f" * 64}, {"seed": -1}, {"version": 1}],
+        ids=["fingerprint", "seed", "version"],
+    )
+    def test_header_identity_mismatch_evicted(self, tmp_path, shard, changes):
+        cache = ShardCache(tmp_path)
+        path = cache.put(self.FINGERPRINT, shard.seed, shard)
+        self._rewrite_header(path, **changes)
+        assert cache.get(self.FINGERPRINT, shard.seed) is None
+        assert not path.exists()
 
 
 class TestCacheInSweeps:

@@ -247,9 +247,12 @@ class TestCheckpoint:
             path for path in tmp_path.rglob("*.json")
             if '"statistics"' in path.read_text(encoding="utf-8")
         )
-        document = json.loads(entry.read_text(encoding="utf-8"))
-        document["shard"]["statistics"]["availability"] /= 2
-        entry.write_text(json.dumps(document), encoding="utf-8")
+        header, payload, end = entry.read_text(encoding="utf-8").split("\n")
+        document = json.loads(payload)
+        document["statistics"]["availability"] /= 2
+        entry.write_text(
+            "\n".join([header, json.dumps(document), end]), encoding="utf-8"
+        )
         second = run_sweep(1, jobs=1, spec=SPEC, checkpoint_dir=tmp_path)
         assert second.reused == 0
         assert second.render() == first.render()
