@@ -22,6 +22,17 @@ graph:
   Consumer functions are expected to be focused deserialisers; reads of
   unrelated dicts inside them would count, which is exactly why the
   wire format lives in dedicated ``from_payload``-style functions.
+  A *positional* contract (the SQLite store's tuple rows, which have
+  no keys) names a module-level column tuple instead, and each of the
+  following must follow it: the tuple the producer returns or yields,
+  element by element (``data["k"]``, or a one-argument call of it, names
+  column ``k``); the names the consumer unpacks the row into; the
+  table's columns in the module's ``_SCHEMA`` (the ``INTEGER PRIMARY
+  KEY`` rowid aside); and the record class's fields, which the
+  consumer's record call must also pass in field order.  Columns the
+  contract declares *derived* (an index column computed from another
+  field) are exempt from the record checks and from the position
+  checks at their own place.
 
 * **WIRE002 — journal schema drift.**  Every ``*.emit(EVENT, ...)``
   call site whose event argument resolves into
@@ -44,12 +55,13 @@ skipped: linting a subtree must not fabricate drift findings.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .config import LintConfig
 from .findings import Finding
-from .graph import CallSite, ModuleGraph, ProjectGraph
+from .graph import CallSite, FunctionInfo, ModuleGraph, ProjectGraph
 from .registry import DeepPass, register_deep
 from .rules import dotted_name
 
@@ -70,6 +82,9 @@ ORCHESTRATOR_MODULE = "repro.parallel.sweep"
 #: Journal envelope/base fields never declared per event.
 _JOURNAL_BASE = frozenset({"seed", "wall"})
 
+#: Module-level string holding a store module's ``CREATE TABLE`` DDL.
+SCHEMA_CONSTANT = "_SCHEMA"
+
 
 @dataclass(frozen=True)
 class ContractSpec:
@@ -80,6 +95,15 @@ class ContractSpec:
     producer: str
     #: Qualified name of the function reading it back.
     consumer: str
+    #: Positional contracts only: the qualified name of the module-level
+    #: column tuple both ends follow ...
+    columns: Optional[str] = None
+    #: ... the ``_SCHEMA`` table it lists ...
+    table: Optional[str] = None
+    #: ... the record class whose fields it carries ...
+    record: Optional[str] = None
+    #: ... and the columns that are no record field.
+    derived: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -125,11 +149,18 @@ DEFAULT_CONTRACTS: Tuple[ContractSpec, ...] = (
         name="store-test-row",
         producer="repro.collection.store._test_row",
         consumer="repro.collection.store._test_record",
+        columns="repro.collection.store._TEST_COLUMNS",
+        table="test_records",
+        record="repro.collection.records.TestLogRecord",
     ),
     ContractSpec(
         name="store-system-row",
-        producer="repro.collection.store._system_row",
+        producer="repro.collection.store._system_rows",
         consumer="repro.collection.store._system_record",
+        columns="repro.collection.store._SYSTEM_COLUMNS",
+        table="system_records",
+        record="repro.collection.records.SystemLogRecord",
+        derived=("testbed",),
     ),
     ContractSpec(
         name="store-meta",
@@ -247,6 +278,169 @@ def _consumer_reads(fn_node: ast.AST) -> _KeySites:
                 node.args[0].value, (node.lineno, node.col_offset + 1)
             )
     return reads
+
+
+#: One element of a positional row: (column it names or None, line, col).
+_Slot = Tuple[Optional[str], int, int]
+
+#: (line, col, message) of one positional drift.
+_Problem = Tuple[int, int, str]
+
+
+def _slot_name(node: ast.expr) -> Optional[str]:
+    """The column an element of a positional row names, if it names one.
+
+    ``data["k"]`` and a bare ``k`` name ``k``; a one-argument call
+    (``int(data["k"])``, ``bool(k)``) names what its argument names.
+    """
+    if (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Constant)
+        and isinstance(node.slice.value, str)
+    ):
+        return node.slice.value
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords:
+        return _slot_name(node.args[0])
+    return None
+
+
+def _slot(node: ast.expr) -> _Slot:
+    return _slot_name(node), node.lineno, node.col_offset + 1
+
+
+def _produced_row(fn_node: ast.AST) -> Optional[ast.Tuple]:
+    """The tuple literal a positional producer returns or yields."""
+    for node in ast.walk(fn_node):
+        if isinstance(node, (ast.Return, ast.Yield)) and isinstance(
+            node.value, ast.Tuple
+        ):
+            return node.value
+    return None
+
+
+def _unpacked_row(fn_node: ast.AST) -> Optional[ast.Tuple]:
+    """The tuple target a positional consumer unpacks its row into."""
+    for node in ast.walk(fn_node):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Tuple)
+        ):
+            return node.targets[0]
+    return None
+
+
+def _called(fn_node: ast.AST, name: str) -> Optional[ast.Call]:
+    """The first call of ``name`` (last dotted component) in a function."""
+    for node in ast.walk(fn_node):
+        if isinstance(node, ast.Call):
+            called = dotted_name(node.func)
+            if called is not None and called.rsplit(".", 1)[-1] == name:
+                return node
+    return None
+
+
+def _module_literal(tree: ast.Module, name: str) -> Tuple[object, int]:
+    """The literal value of a module-level ``name = ...`` and its line.
+
+    ``(None, 1)`` when there is no such assignment or its value is not
+    a literal.
+    """
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id == name
+        ):
+            try:
+                return ast.literal_eval(node.value), node.lineno
+            except ValueError:
+                break
+    return None, 1
+
+
+def _table_columns(ddl: str, table: str) -> Optional[List[str]]:
+    """Columns of ``CREATE TABLE table (...)`` in ``ddl``, rowid alias aside.
+
+    Column definitions are split on commas, so the DDL must not use
+    parenthesised type arguments (``DECIMAL(10, 2)``).
+    """
+    match = re.search(
+        rf"CREATE TABLE\s+{re.escape(table)}\s*\((.*?)\)\s*;", ddl, re.S
+    )
+    if match is None:
+        return None
+    return [
+        definition.split()[0]
+        for definition in match.group(1).split(",")
+        if definition.strip() and "PRIMARY KEY" not in definition.upper()
+    ]
+
+
+def _class_fields(tree: ast.Module, name: str) -> Optional[List[str]]:
+    """Annotated fields of a module-level class, in declaration order."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return [
+                statement.target.id
+                for statement in node.body
+                if isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)
+            ]
+    return None
+
+
+def _row_drift(
+    row: ast.Tuple, columns: Sequence[str], derived: Sequence[str]
+) -> List[_Problem]:
+    """Elements of a positional row out of step with its column tuple."""
+    slots = list(map(_slot, row.elts))
+    here = (row.lineno, row.col_offset + 1)
+    if len(slots) != len(columns):
+        named = {name for name, _, _ in slots}
+        problems: List[_Problem] = [
+            (*here, f"column {column!r} is missing")
+            for column in columns
+            if column not in named and column not in derived
+        ]
+        problems.extend(
+            (line, col, f"{name!r} is not a column")
+            for name, line, col in slots
+            if name not in (None, "_") and name not in columns
+        )
+        return problems or [
+            (*here, f"{len(slots)} values for {len(columns)} columns")
+        ]
+    return [
+        (line, col, f"{name!r} stands where column {column!r} belongs")
+        for (name, line, col), column in zip(slots, columns)
+        if column not in derived and name is not None and name != column
+    ]
+
+
+def _call_drift(call: ast.Call, fields: Sequence[str]) -> List[_Problem]:
+    """Arguments of a record call that do not pass each field its column."""
+    passed: Dict[str, _Slot] = dict(zip(fields, map(_slot, call.args)))
+    passed.update(
+        (keyword.arg, _slot(keyword.value))
+        for keyword in call.keywords
+        if keyword.arg is not None
+    )
+    here = (call.lineno, call.col_offset + 1)
+    problems: List[_Problem] = []
+    if len(call.args) > len(fields):
+        problems.append((*here, f"{len(call.args)} arguments for {len(fields)} fields"))
+    for field in fields:
+        if field not in passed:
+            problems.append((*here, f"field {field!r} is never passed"))
+            continue
+        name, line, col = passed[field]
+        if name is not None and name != field:
+            problems.append((line, col, f"{name!r} is passed as field {field!r}"))
+    return problems
 
 
 def _string_constants(tree: ast.Module) -> Dict[str, str]:
@@ -382,6 +576,8 @@ class WireContractPass(DeepPass):
             or consumer.node is None
         ):
             return []  # subtree lint: one end out of scope, nothing to judge
+        if contract.columns is not None:
+            return self._check_positional(graph, contract, producer, consumer)
         written, dynamic = _producer_keys(producer.node)
         read = _consumer_reads(consumer.node)
         findings: List[Finding] = []
@@ -419,6 +615,99 @@ class WireContractPass(DeepPass):
                     )
                 )
         return findings
+
+    def _check_positional(
+        self,
+        graph: ProjectGraph,
+        contract: ContractSpec,
+        producer: FunctionInfo,
+        consumer: FunctionInfo,
+    ) -> List[Finding]:
+        """WIRE001 for a tuple-row contract: every side follows the columns."""
+        assert contract.columns is not None
+        module_key, _, tuple_name = contract.columns.rpartition(".")
+        module = graph.modules.get(module_key)
+        if module is None:
+            return []
+        #: (path, what was checked, problems found there)
+        checked: List[Tuple[str, str, List[_Problem]]] = []
+        columns, line = _module_literal(module.tree, tuple_name)
+        if not (isinstance(columns, tuple) and all(isinstance(c, str) for c in columns)):
+            checked.append((module.path, contract.columns, [(line, 1, "no tuple of column names")]))
+            return self._positional_findings(contract, checked)
+        here = (line, 1)
+
+        row = _produced_row(producer.node)
+        checked.append((
+            producer.path,
+            f"the row written by {contract.producer}",
+            [(producer.line, 1, "no tuple row is returned or yielded")] if row is None
+            else _row_drift(row, columns, contract.derived),
+        ))
+        target = _unpacked_row(consumer.node)
+        checked.append((
+            consumer.path,
+            f"the row read by {contract.consumer}",
+            [(consumer.line, 1, "the row is never unpacked")] if target is None
+            else _row_drift(target, columns, contract.derived),
+        ))
+
+        ddl, schema_line = _module_literal(module.tree, SCHEMA_CONSTANT)
+        table = _table_columns(ddl, contract.table or "") if isinstance(ddl, str) else None
+        if table is None:
+            missing = f"no CREATE TABLE {contract.table} in {SCHEMA_CONSTANT}"
+            checked.append((module.path, contract.columns, [(*here, missing)]))
+        else:
+            checked.append((module.path, contract.columns, [
+                (*here, f"column {column!r} is not in table {contract.table}")
+                for column in columns if column not in table
+            ]))
+            checked.append((module.path, SCHEMA_CONSTANT, [
+                (schema_line, 1, f"column {column!r} of table {contract.table} "
+                 f"is not in {tuple_name}")
+                for column in table if column not in columns
+            ]))
+
+        if contract.record is not None:
+            record_key, _, record_name = contract.record.rpartition(".")
+            record_module = graph.modules.get(record_key)
+            fields = (
+                None if record_module is None
+                else _class_fields(record_module.tree, record_name)
+            )
+            if fields is not None:  # else subtree lint: the record is out of scope
+                checked.append((module.path, contract.columns, [
+                    (*here, f"field {field!r} of {record_name} has no column")
+                    for field in fields if field not in columns
+                ] + [
+                    (*here, f"column {column!r} is no field of {record_name}")
+                    for column in columns
+                    if column not in fields and column not in contract.derived
+                ]))
+                call = _called(consumer.node, record_name)
+                checked.append((
+                    consumer.path,
+                    f"the {record_name} built by {contract.consumer}",
+                    [(consumer.line, 1, "no record is built")] if call is None
+                    else _call_drift(call, fields),
+                ))
+        return self._positional_findings(contract, checked)
+
+    @staticmethod
+    def _positional_findings(
+        contract: ContractSpec, checked: List[Tuple[str, str, List[_Problem]]]
+    ) -> List[Finding]:
+        return [
+            Finding(
+                path=path,
+                line=line,
+                col=col,
+                rule=KEY_DRIFT_RULE,
+                message=f"[{contract.name}] {where}: {problem}",
+            )
+            for path, where, problems in checked
+            for line, col, problem in problems
+        ]
 
     # -- WIRE002 -------------------------------------------------------------
 
@@ -672,6 +961,7 @@ __all__ = [
     "JOURNAL_MODULE",
     "JOURNAL_SCHEMA_RULE",
     "KEY_DRIFT_RULE",
+    "SCHEMA_CONSTANT",
     "VERSION_RULE",
     "ContractSpec",
     "VersionSpec",

@@ -41,6 +41,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Tuple,
     Union,
 )
 
@@ -119,6 +120,11 @@ def atomic_store(path: PathLike) -> Iterator["SQLiteStore"]:
     file on commit) and closed, then ``os.replace`` publishes it.  On
     any error the temp database and its rollback journal are removed
     and ``path`` keeps its previous contents, or stays absent.
+
+    The store is a bulk-load target: it starts with its tables only,
+    and the query indexes are built after the caller's block, over the
+    loaded rows and in the same transaction, before the commit.  The
+    published file has the schema of any fresh store.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -127,8 +133,9 @@ def atomic_store(path: PathLike) -> Iterator["SQLiteStore"]:
     # appended to.
     _remove_database(tmp)
     try:
-        with SQLiteStore(tmp) as store:
+        with SQLiteStore(tmp, indexes=False) as store:
             yield store
+            store._create_indexes()
         os.replace(tmp, path)
     finally:
         _remove_database(tmp)
@@ -206,9 +213,25 @@ class FailureStore(Protocol):
 
 # -- row wire format ---------------------------------------------------------
 #
-# Module-level producer/consumer pairs so repro.analysis.contracts can
-# extract the written and read column sets from the AST (WIRE001) and
-# check the version stamp handshake (WIRE003).
+# A row is a tuple in the order of its table's column tuple, which also
+# generates the INSERT and the SELECT below.  The producer/consumer
+# pairs are module-level so repro.analysis.contracts can check, from the
+# AST, that both follow the column tuple position by position, that the
+# tuple names the _SCHEMA table's columns and the record's fields
+# (WIRE001), and the version stamp handshake (WIRE003).
+
+#: Columns of ``test_records`` after ``id``: the :class:`TestLogRecord`
+#: fields in declaration order.
+_TEST_COLUMNS = (
+    "time", "node", "testbed", "workload", "message", "phase", "packet_type",
+    "packets_sent", "packets_expected", "scan_flag", "sdp_flag", "distance",
+    "cycle_on_connection", "idle_before_cycle", "masked", "recovery",
+)
+
+#: Columns of ``system_records`` after ``id``: the
+#: :class:`SystemLogRecord` fields plus ``testbed``, an index column
+#: derived from ``node`` (system records carry only their node name).
+_SYSTEM_COLUMNS = ("time", "node", "testbed", "facility", "severity", "message")
 
 #: Encoder for the ``recovery`` column: the bytes of
 #: ``json.dumps(..., separators=(",", ":"))``, built once rather than
@@ -221,21 +244,92 @@ _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 #: this order is encoded as given; any other shape is normalised first.
 _ATTEMPT_KEYS = ("action", "succeeded", "duration")
 
+_ATTEMPT_VALUES = itemgetter(*_ATTEMPT_KEYS)
+
+#: Entries a ``recovery`` memo holds before it is cleared.  A campaign
+#: repeats a handful of attempt chains (17 distinct column texts in a
+#: 16-seed batch sweep), so the bound only caps a stream of distinct
+#: durations.  The memos are shared by every store in the process: each
+#: maps a key to the one value it encodes to or decodes from, and the
+#: values are immutable, so sharing cannot change a row or a record.
+_MEMO_LIMIT = 4096
+
+#: ``recovery`` column text by the attempts' value triples.
+_RECOVERY_TEXTS: Dict[Tuple[Tuple[object, ...], ...], str] = {}
+
+#: Decoded attempts by ``recovery`` column text.
+_RECOVERY_ATTEMPTS: Dict[str, Tuple[RecoveryAttempt, ...]] = {}
+
+
+def _remember(memo: Dict[Any, Any], key: Any, value: Any) -> Any:
+    """Store ``value`` under ``key``, clearing ``memo`` first when full."""
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def _recovery_key(attempts: List[Dict[str, Any]]) -> Optional[Tuple[Tuple[object, ...], ...]]:
+    """The attempts' ``(action, succeeded, duration)`` triples, as a memo key.
+
+    The triples fix the column text: unknown keys are dropped and the
+    keys put in field order on encode.  ``None`` (not memoised) when a
+    key is missing, or a value's JSON is not fixed by its equality:
+    ``True == 1``, ``2 == 2.0`` and ``0.0 == -0.0`` as dict keys but not
+    as JSON, so only a ``str``, a ``bool`` and a non-zero ``float``
+    qualify.
+    """
+    key = []
+    for attempt in attempts:
+        try:
+            triple = _ATTEMPT_VALUES(attempt)
+        except KeyError:
+            return None
+        action, succeeded, duration = triple
+        if type(action) is not str or type(succeeded) is not bool:
+            return None
+        if type(duration) is not float or not duration:
+            return None
+        key.append(triple)
+    return tuple(key)
+
 
 def _recovery_column(attempts: List[Dict[str, Any]]) -> str:
-    """The ``recovery`` column: compact JSON of the attempt dicts."""
+    """The ``recovery`` column: compact JSON of the attempt dicts, memoised."""
     if not attempts:
         return "[]"
-    return _COMPACT_JSON.encode([
-        attempt
-        if tuple(attempt) == _ATTEMPT_KEYS
-        else RecoveryAttempt.from_dict(attempt).to_dict()
-        for attempt in attempts
-    ])
+    key = _recovery_key(attempts)
+    text = _RECOVERY_TEXTS.get(key) if key is not None else None
+    if text is None:
+        text = _COMPACT_JSON.encode([
+            attempt
+            if tuple(attempt) == _ATTEMPT_KEYS
+            else RecoveryAttempt.from_dict(attempt).to_dict()
+            for attempt in attempts
+        ])
+        if key is not None:
+            _remember(_RECOVERY_TEXTS, key, text)
+    return text
 
 
-def _test_row(data: Dict[str, Any]) -> Dict[str, object]:
-    """Columnar row for one user-level report (writer side).
+def _recovery_attempts(text: str) -> Tuple[RecoveryAttempt, ...]:
+    """The attempts of a ``recovery`` column text, memoised on the text.
+
+    Records share the decoded tuple; attempts are frozen, so sharing is
+    safe.
+    """
+    attempts = _RECOVERY_ATTEMPTS.get(text)
+    if attempts is None:
+        attempts = _remember(
+            _RECOVERY_ATTEMPTS,
+            text,
+            tuple(map(RecoveryAttempt.from_dict, json.loads(text))),
+        )
+    return attempts
+
+
+def _test_row(data: Dict[str, Any]) -> Tuple[object, ...]:
+    """Columnar row for one user-level report (writer side), in :data:`_TEST_COLUMNS` order.
 
     ``data`` has the :meth:`TestLogRecord.to_dict` shape, whether it
     comes from a live record or straight from a shard payload.  A dict
@@ -245,89 +339,63 @@ def _test_row(data: Dict[str, Any]) -> Dict[str, object]:
     """
     if data.keys() != TestLogRecord._FIELDS:
         data = TestLogRecord.from_dict(data).to_dict()
-    return {
-        "time": data["time"],
-        "node": data["node"],
-        "testbed": data["testbed"],
-        "workload": data["workload"],
-        "message": data["message"],
-        "phase": data["phase"],
-        "packet_type": data["packet_type"],
-        "packets_sent": data["packets_sent"],
-        "packets_expected": data["packets_expected"],
-        "scan_flag": int(data["scan_flag"]),
-        "sdp_flag": int(data["sdp_flag"]),
-        "distance": data["distance"],
-        "cycle_on_connection": data["cycle_on_connection"],
-        "idle_before_cycle": data["idle_before_cycle"],
-        "masked": int(data["masked"]),
-        "recovery": _recovery_column(data["recovery"]),
-    }
-
-
-def _test_record(row: sqlite3.Row) -> TestLogRecord:
-    """Rebuild a user-level report from its columnar row (reader side)."""
-    recovery = row["recovery"]
-    return TestLogRecord(
-        time=row["time"],
-        node=row["node"],
-        testbed=row["testbed"],
-        workload=row["workload"],
-        message=row["message"],
-        phase=row["phase"],
-        packet_type=row["packet_type"],
-        packets_sent=row["packets_sent"],
-        packets_expected=row["packets_expected"],
-        scan_flag=bool(row["scan_flag"]),
-        sdp_flag=bool(row["sdp_flag"]),
-        distance=row["distance"],
-        cycle_on_connection=row["cycle_on_connection"],
-        idle_before_cycle=row["idle_before_cycle"],
-        masked=bool(row["masked"]),
-        recovery=(
-            ()
-            if recovery == "[]"
-            else tuple(map(RecoveryAttempt.from_dict, json.loads(recovery)))
-        ),
+    return (
+        data["time"],
+        data["node"],
+        data["testbed"],
+        data["workload"],
+        data["message"],
+        data["phase"],
+        data["packet_type"],
+        data["packets_sent"],
+        data["packets_expected"],
+        int(data["scan_flag"]),
+        int(data["sdp_flag"]),
+        data["distance"],
+        data["cycle_on_connection"],
+        data["idle_before_cycle"],
+        int(data["masked"]),
+        _recovery_column(data["recovery"]),
     )
 
 
-def _system_row(data: Dict[str, Any]) -> Dict[str, object]:
-    """Columnar row for one system-level entry (writer side).
+def _test_record(row: Tuple[Any, ...]) -> TestLogRecord:
+    """Rebuild a user-level report from its columnar row (reader side)."""
+    (time, node, testbed, workload, message, phase, packet_type, packets_sent,
+     packets_expected, scan_flag, sdp_flag, distance, cycle_on_connection,
+     idle_before_cycle, masked, recovery) = row
+    return TestLogRecord(
+        time, node, testbed, workload, message, phase, packet_type, packets_sent,
+        packets_expected, bool(scan_flag), bool(sdp_flag), distance,
+        cycle_on_connection, idle_before_cycle, bool(masked),
+        _recovery_attempts(recovery),
+    )
 
-    ``data`` has the :meth:`SystemLogRecord.to_dict` shape; any other
+
+def _system_rows(entries: Iterable[Dict[str, Any]]) -> Iterator[Tuple[object, ...]]:
+    """Columnar rows for system-level entries (writer side), in :data:`_SYSTEM_COLUMNS` order.
+
+    Each entry has the :meth:`SystemLogRecord.to_dict` shape; any other
     key set goes through :meth:`SystemLogRecord.from_dict` first.
     """
-    if data.keys() != SystemLogRecord._FIELDS:
-        data = SystemLogRecord.from_dict(data).to_dict()
-    return {
-        "time": data["time"],
-        "node": data["node"],
-        "facility": data["facility"],
-        "severity": data["severity"],
-        "message": data["message"],
-    }
-
-
-def _system_rows(entries: Iterable[Dict[str, Any]]) -> Iterator[Dict[str, object]]:
-    """System rows plus the derived ``testbed`` index column."""
     for data in entries:
-        row = _system_row(data)
-        # Derived index column, not part of the record wire format:
-        # system records carry only their node name.
-        row["testbed"] = testbed_of(row["node"])
-        yield row
+        if data.keys() != SystemLogRecord._FIELDS:
+            data = SystemLogRecord.from_dict(data).to_dict()
+        node = data["node"]
+        yield (
+            data["time"],
+            node,
+            testbed_of(node),
+            data["facility"],
+            data["severity"],
+            data["message"],
+        )
 
 
-def _system_record(row: sqlite3.Row) -> SystemLogRecord:
+def _system_record(row: Tuple[Any, ...]) -> SystemLogRecord:
     """Rebuild a system-level entry from its columnar row (reader side)."""
-    return SystemLogRecord(
-        time=row["time"],
-        node=row["node"],
-        facility=row["facility"],
-        severity=row["severity"],
-        message=row["message"],
-    )
+    time, node, _, facility, severity, message = row
+    return SystemLogRecord(time, node, facility, severity, message)
 
 
 def _meta_document() -> Dict[str, object]:
@@ -381,27 +449,33 @@ CREATE TABLE system_records (
     severity TEXT NOT NULL,
     message  TEXT NOT NULL
 );
-CREATE INDEX test_by_time    ON test_records (time);
-CREATE INDEX test_by_node    ON test_records (node, time);
-CREATE INDEX test_by_testbed ON test_records (testbed, time);
-CREATE INDEX system_by_time    ON system_records (time);
-CREATE INDEX system_by_node    ON system_records (node, time);
-CREATE INDEX system_by_testbed ON system_records (testbed, time);
 """
 
-_INSERT_TEST = (
-    "INSERT INTO test_records (time, node, testbed, workload, message, phase,"
-    " packet_type, packets_sent, packets_expected, scan_flag, sdp_flag, distance,"
-    " cycle_on_connection, idle_before_cycle, masked, recovery)"
-    " VALUES (:time, :node, :testbed, :workload, :message, :phase,"
-    " :packet_type, :packets_sent, :packets_expected, :scan_flag, :sdp_flag, :distance,"
-    " :cycle_on_connection, :idle_before_cycle, :masked, :recovery)"
+#: The query indexes, covering ``(time)``, ``(node, time)`` and
+#: ``(testbed, time)`` per table.  A fresh store gets them with the
+#: tables; :func:`atomic_store` builds them after the bulk load.
+_INDEXES = (
+    "CREATE INDEX test_by_time    ON test_records (time)",
+    "CREATE INDEX test_by_node    ON test_records (node, time)",
+    "CREATE INDEX test_by_testbed ON test_records (testbed, time)",
+    "CREATE INDEX system_by_time    ON system_records (time)",
+    "CREATE INDEX system_by_node    ON system_records (node, time)",
+    "CREATE INDEX system_by_testbed ON system_records (testbed, time)",
 )
 
-_INSERT_SYSTEM = (
-    "INSERT INTO system_records (time, node, testbed, facility, severity, message)"
-    " VALUES (:time, :node, :testbed, :facility, :severity, :message)"
-)
+
+def _insert_statement(table: str, columns: Tuple[str, ...]) -> str:
+    return (
+        f"INSERT INTO {table} ({', '.join(columns)})"
+        f" VALUES ({', '.join('?' * len(columns))})"
+    )
+
+
+_INSERT_TEST = _insert_statement("test_records", _TEST_COLUMNS)
+_INSERT_SYSTEM = _insert_statement("system_records", _SYSTEM_COLUMNS)
+
+_SELECT_TEST = f"SELECT {', '.join(_TEST_COLUMNS)} FROM test_records"
+_SELECT_SYSTEM = f"SELECT {', '.join(_SYSTEM_COLUMNS)} FROM system_records"
 
 #: Sort key of record dicts: their ``time`` field.
 _TIME = itemgetter("time")
@@ -415,11 +489,20 @@ class SQLiteStore:
     ``executemany`` ingestion, and streaming ``fetchmany`` query
     cursors — so a 1000-seed sweep's record stream can be ingested and
     analysed shard-by-shard without ever materialising it in RAM.
+    Rows cross the SQLite boundary as plain tuples in the order of one
+    column tuple per table (``_TEST_COLUMNS``, ``_SYSTEM_COLUMNS``),
+    which also generates the ``INSERT`` and ``SELECT`` statements, and
+    the ``recovery`` column is encoded and decoded through small
+    bounded memos.
 
     Opening an existing file validates the :data:`STORE_VERSION` stamp
     (:class:`StoreVersionError` on skew, :class:`StoreError` when the
     file is not a store at all); opening a fresh path creates the
-    schema.  Ingestion into an existing store appends.
+    schema, indexes included unless ``indexes=False`` (the bulk load of
+    :func:`atomic_store`, which builds them after).  Ingestion into an
+    existing store appends.  As a context manager the store commits
+    pending rows on a clean exit and rolls them back when the block
+    raises.
     """
 
     #: Rows per ``fetchmany`` page: large enough to amortise the SQLite
@@ -427,17 +510,16 @@ class SQLiteStore:
     #: any campaign's record count.
     BATCH = 2048
 
-    def __init__(self, path: PathLike = ":memory:") -> None:
+    def __init__(self, path: PathLike = ":memory:", *, indexes: bool = True) -> None:
         self.path: Optional[Path] = None if str(path) == ":memory:" else Path(path)
         existing = self.path is not None and self.path.exists() and self.path.stat().st_size > 0
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(str(path))
-        self._conn.row_factory = sqlite3.Row
         if existing:
             self._validate()
         else:
-            self._create()
+            self._create(indexes)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -446,13 +528,21 @@ class SQLiteStore:
         """Open an existing store (or create an empty one at ``path``)."""
         return cls(path)
 
-    def _create(self) -> None:
+    def _create(self, indexes: bool) -> None:
         with self._conn:
             self._conn.executescript(_SCHEMA)
+            if indexes:
+                self._create_indexes()
             self._conn.execute(
                 "INSERT INTO store_meta (doc) VALUES (?)",
                 (json.dumps(_meta_document(), separators=(",", ":")),),
             )
+
+    def _create_indexes(self) -> None:
+        # execute(), not executescript(): the latter commits first, and
+        # the indexes belong to the transaction holding the rows.
+        for statement in _INDEXES:
+            self._conn.execute(statement)
 
     def _validate(self) -> None:
         try:
@@ -462,7 +552,7 @@ class SQLiteStore:
         if row is None:
             raise StoreError(f"{self.path} has no store_meta row")
         try:
-            meta = json.loads(row["doc"])
+            meta = json.loads(row[0])
         except ValueError as error:
             raise StoreError(f"{self.path} has a corrupt store_meta document") from error
         _check_meta(meta)
@@ -479,13 +569,17 @@ class SQLiteStore:
         self._conn.commit()
 
     def close(self) -> None:
+        """Commit pending appends and release the connection."""
         self._conn.commit()
         self._conn.close()
 
     def __enter__(self) -> "SQLiteStore":
         return self
 
-    def __exit__(self, *exc_info: object) -> None:
+    def __exit__(self, exc_type: object, *exc_info: object) -> None:
+        # A block that raised must not publish the rows it left pending.
+        if exc_type is not None:
+            self._conn.rollback()
         self.close()
 
     # -- ingestion ---------------------------------------------------------
@@ -526,7 +620,7 @@ class SQLiteStore:
         )
         return count
 
-    def _insert(self, statement: str, rows: Iterable[Dict[str, object]]) -> int:
+    def _insert(self, statement: str, rows: Iterable[Tuple[object, ...]]) -> int:
         # executemany pulls rows from the iterator one at a time, so the
         # record stream is never materialised.
         return self._conn.executemany(statement, rows).rowcount
@@ -549,10 +643,12 @@ class SQLiteStore:
         end: Optional[float] = None,
     ) -> Iterator:
         """Stream records time-ordered (ingestion-stable ties) via fetchmany pages."""
+        # The decoder is looked up on the module per query, so a
+        # wrapper patched onto the module sees every decoded row.
         if kind == "test":
-            table, to_record = "test_records", _test_record
+            select, to_record = _SELECT_TEST, _test_record
         elif kind == "system":
-            table, to_record = "system_records", _system_record
+            select, to_record = _SELECT_SYSTEM, _system_record
         else:
             raise ValueError(f"unknown record kind {kind!r} (expected 'test' or 'system')")
         clauses = []
@@ -570,14 +666,12 @@ class SQLiteStore:
             clauses.append("time <= :end")
             params["end"] = end
         where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
-        sql = f"SELECT * FROM {table}{where} ORDER BY time, id"
-        cursor = self._conn.execute(sql, params)
+        cursor = self._conn.execute(f"{select}{where} ORDER BY time, id", params)
         while True:
             page = cursor.fetchmany(self.BATCH)
             if not page:
                 return
-            for row in page:
-                yield to_record(row)
+            yield from map(to_record, page)
 
     def nodes(self) -> List[str]:
         """All node names present in either record stream, sorted.
@@ -589,11 +683,11 @@ class SQLiteStore:
         rows = self._conn.execute(
             "SELECT node FROM test_records UNION SELECT node FROM system_records ORDER BY node"
         ).fetchall()
-        return [row["node"] for row in rows]
+        return [node for (node,) in rows]
 
     def _count(self, table: str) -> int:
-        row = self._conn.execute(f"SELECT COUNT(*) AS n FROM {table}").fetchone()
-        return int(row["n"])
+        row = self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
+        return int(row[0])
 
     @property
     def user_level_count(self) -> int:

@@ -453,6 +453,50 @@ def test_wire001_missing_endpoint_skips_contract(tmp_path):
     assert "WIRE001" not in fired  # no consumer in scope: nothing to judge
 
 
+# WIRE001 on positional contracts: the shipped store row codec, one side edited.
+
+STORE_MODULE = "repro/collection/store.py"
+RECORDS_MODULE = "repro/collection/records.py"
+
+
+def store_row_messages(tmp_path: Path, module: str = STORE_MODULE, old: str = "", new: str = "") -> List[str]:
+    files = {path: (SRC / path).read_text(encoding="utf-8") for path in (STORE_MODULE, RECORDS_MODULE)}
+    if old:
+        assert files[module].count(old) == 1, old
+        files[module] = files[module].replace(old, new)
+    return [finding.message for finding in deep_lint(tmp_path, files, select=["WIRE001"])]
+
+
+def test_wire001_shipped_store_rows_clean(tmp_path):
+    assert store_row_messages(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    ("module", "old", "new", "expected"),
+    [
+        (STORE_MODULE, '        int(data["masked"]),\n', "",
+         "the row written by repro.collection.store._test_row: column 'masked' is missing"),
+        (STORE_MODULE, "time, node, _, facility, severity, message = row",
+         "time, node, _, facility, message = row",
+         "the row read by repro.collection.store._system_record: column 'severity' is missing"),
+        (STORE_MODULE, '"message", "phase", "packet_type",', '"message", "packet_type",',
+         "_SCHEMA: column 'phase' of table test_records is not in _TEST_COLUMNS"),
+        (STORE_MODULE, "    recovery            TEXT NOT NULL\n",
+         "    recovery            TEXT NOT NULL,\n    rssi REAL\n",
+         "_SCHEMA: column 'rssi' of table test_records is not in _TEST_COLUMNS"),
+        (STORE_MODULE, "packets_sent,\n        packets_expected, bool(scan_flag)",
+         "packets_expected,\n        packets_sent, bool(scan_flag)",
+         "_test_record: 'packets_expected' is passed as field 'packets_sent'"),
+        (RECORDS_MODULE, "    masked: bool = False", "    masked: bool = False\n    rssi: float = 0.0",
+         "_TEST_COLUMNS: field 'rssi' of TestLogRecord has no column"),
+    ],
+    ids=["producer", "consumer", "column-tuple", "schema", "record-call", "record-field"],
+)
+def test_wire001_store_row_drift_fires(tmp_path, module, old, new, expected):
+    messages = store_row_messages(tmp_path, module, old, new)
+    assert any(expected in message for message in messages), messages
+
+
 def test_wire003_literal_version_stamp_fires(tmp_path):
     fired = deep_rules_fired(
         tmp_path,

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro import api
 from repro.collection.records import RecoveryAttempt, SystemLogRecord, TestLogRecord
 from repro.collection.repository import CentralRepository
-from repro.collection.store import SQLiteStore, _test_record, _test_row
+from repro.collection.store import _TEST_COLUMNS, SQLiteStore, _test_record, _test_row
 from repro.parallel.cache import CACHE_VERSION, ShardCache, shard_key
 
 # -- the reference encoding ----------------------------------------------------
@@ -144,10 +144,15 @@ class TestAgainstReference:
         assert record == TestLogRecord(2.0, "n", "random", "web", "m", "connect")
 
 
+#: Position of the ``recovery`` column in a test row.
+RECOVERY = _TEST_COLUMNS.index("recovery")
+
+
 class TestStoreRow:
     def test_row_columns_are_the_record_fields(self):
         record = TestLogRecord(0.0, "n", "random", "web", "m", "connect")
-        assert list(_test_row(record.to_dict())) == [f.name for f in dataclasses.fields(TestLogRecord)]
+        assert list(_TEST_COLUMNS) == [f.name for f in dataclasses.fields(TestLogRecord)]
+        assert len(_test_row(record.to_dict())) == len(_TEST_COLUMNS)
 
     @given(st.lists(test_records, max_size=8))
     @settings(max_examples=100, deadline=None)
@@ -163,7 +168,7 @@ class TestStoreRow:
         expected = json.dumps(
             [reference_dict(a) for a in record.recovery], separators=(",", ":")
         )
-        assert _test_row(record.to_dict())["recovery"] == expected
+        assert _test_row(record.to_dict())[RECOVERY] == expected
 
 
 # -- unknown keys: dropped at every level ----------------------------------------
@@ -193,8 +198,9 @@ class TestUnknownKeys:
         assert list(opened.iter_records(kind="test")) == [RECORD]
 
     def test_store_row_drops_unknown_attempt_keys(self):
-        row = dict(_test_row(RECORD.to_dict()), recovery=json.dumps([ATTEMPT_WITH_EXTRA]))
-        assert _test_record(row) == RECORD
+        row = list(_test_row(RECORD.to_dict()))
+        row[RECOVERY] = json.dumps([ATTEMPT_WITH_EXTRA])
+        assert _test_record(tuple(row)) == RECORD
 
 
 # -- shard payloads and cache entries keep their bytes -----------------------------

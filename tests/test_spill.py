@@ -9,6 +9,7 @@ replaced: every shard's payload rebuilt as a
 every column, in ``id`` order.
 """
 
+import json
 import os
 import sqlite3
 
@@ -16,6 +17,8 @@ import pytest
 
 from repro import api
 from repro.cli import main
+from repro.collection import store as store_module
+from repro.collection.records import RecoveryAttempt, TestLogRecord
 from repro.collection.repository import CentralRepository
 from repro.collection.store import SQLiteStore
 from repro.core.campaign import CampaignSpec
@@ -229,3 +232,106 @@ def test_stale_temp_store_is_not_appended_to(tmp_path):
     with SQLiteStore.open(target) as store:
         assert store.total_items == 2
     assert [path.name for path in tmp_path.iterdir()] == ["failures.store"]
+
+
+def test_spilled_store_schema_matches_a_fresh_store(tmp_path):
+    """The indexes built after the spill's load are the fresh store's."""
+    shards = [synthetic_shard(1, test=[report(1.0)], system=[entry(1.0)])]
+    synthetic_result(shards).into_store(tmp_path / "spilled.store")
+    SQLiteStore(tmp_path / "fresh.store").close()
+
+    def schema(path):
+        connection = sqlite3.connect(str(path))
+        try:
+            return connection.execute(
+                "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name"
+            ).fetchall()
+        finally:
+            connection.close()
+
+    spilled = schema(tmp_path / "spilled.store")
+    assert spilled == schema(tmp_path / "fresh.store")
+    assert sum(kind == "index" for kind, *_ in spilled) == 6
+
+
+# -- the store as a context manager -----------------------------------------------
+
+
+def test_failed_with_block_rolls_back_pending_rows(tmp_path):
+    """Rows pending until flush() are not persisted by a block that raises."""
+    path = tmp_path / "failures.store"
+    with pytest.raises(RuntimeError, match="after two rows"):
+        with SQLiteStore(path) as store:
+            assert store.ingest_payload({"test": [report(1.0)], "system": [entry(2.0)]}) == 2
+            raise RuntimeError("failed after two rows")
+    with SQLiteStore.open(path) as store:
+        assert store.total_items == 0
+
+
+def test_clean_with_block_commits_pending_rows(tmp_path):
+    path = tmp_path / "failures.store"
+    with SQLiteStore(path) as store:
+        store.ingest_payload({"test": [report(1.0)], "system": [entry(2.0)]})
+    with SQLiteStore.open(path) as store:
+        assert store.total_items == 2
+
+
+# -- the recovery column memos ----------------------------------------------------
+
+
+def test_more_recovery_texts_than_the_memo_bound_round_trip(tmp_path, monkeypatch):
+    limit = 4
+    monkeypatch.setattr(store_module, "_MEMO_LIMIT", limit)
+    monkeypatch.setitem(store_module.__dict__, "_RECOVERY_TEXTS", {})
+    monkeypatch.setitem(store_module.__dict__, "_RECOVERY_ATTEMPTS", {})
+    largest = []
+    remember = store_module._remember
+
+    def watched(memo, key, value):
+        stored = remember(memo, key, value)
+        largest.append(len(memo))
+        return stored
+
+    monkeypatch.setattr(store_module, "_remember", watched)
+    # 30 distinct texts, each written and read twice, so the memos fill,
+    # clear and serve hits.
+    records = [
+        TestLogRecord(
+            float(index), "random:Verde", "random", "web", "m", "connect",
+            recovery=(RecoveryAttempt("bt_stack_reset", index % 2 == 0, 1.0 + index % 30),),
+        )
+        for index in range(60)
+    ]
+    payload = {"test": [record.to_dict() for record in records], "system": []}
+    with SQLiteStore(tmp_path / "records.store") as store:
+        store.ingest_test(records)
+        assert list(store.iter_records(kind="test")) == records
+    with SQLiteStore(tmp_path / "payload.store") as store:
+        store.ingest_payload(payload)
+        assert list(store.iter_records(kind="test")) == records
+    assert rows(tmp_path / "payload.store", "test_records") == rows(
+        tmp_path / "records.store", "test_records"
+    )
+    for row in rows(tmp_path / "payload.store", "test_records"):
+        record = records[int(row[1])]
+        assert row[-1] == json.dumps(
+            [attempt.to_dict() for attempt in record.recovery], separators=(",", ":")
+        )
+    assert largest and max(largest) <= limit
+    assert len(store_module._RECOVERY_TEXTS) <= limit
+    assert len(store_module._RECOVERY_ATTEMPTS) <= limit
+
+
+@pytest.mark.parametrize("attempt", [
+    {"action": "bt_stack_reset", "succeeded": 1, "duration": 2.0},
+    {"action": "bt_stack_reset", "succeeded": True, "duration": 2},
+    {"action": "bt_stack_reset", "succeeded": True, "duration": -0.0},
+], ids=["int-flag", "int-duration", "negative-zero"])
+def test_recovery_memo_keeps_values_that_compare_equal_apart(attempt):
+    """``True == 1``, ``2 == 2.0`` and ``0.0 == -0.0`` as memo keys, but not as JSON."""
+    canonical = {"action": "bt_stack_reset", "succeeded": True,
+                 "duration": abs(float(attempt["duration"]))}
+    for attempts in ([canonical], [attempt], [canonical], [attempt]):
+        assert store_module._recovery_column(attempts) == json.dumps(
+            attempts, separators=(",", ":")
+        )
