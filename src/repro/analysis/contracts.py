@@ -132,13 +132,13 @@ DEFAULT_CONTRACTS: Tuple[ContractSpec, ...] = (
     ),
     ContractSpec(
         name="worker-task",
-        producer="repro.parallel.backends.SubprocessBackend._dispatch",
+        producer="repro.parallel.backends.SubprocessBackend._attempt",
         consumer="repro.parallel.worker.main",
     ),
     ContractSpec(
         name="worker-reply",
         producer="repro.parallel.worker.main",
-        consumer="repro.parallel.backends.SubprocessBackend._dispatch",
+        consumer="repro.parallel.backends.SubprocessBackend._attempt",
     ),
     ContractSpec(
         name="cache-entry",
@@ -181,7 +181,7 @@ DEFAULT_VERSION_SPECS: Tuple[VersionSpec, ...] = (
         name="worker-task",
         constant="TASK_VERSION",
         key="version",
-        producer="repro.parallel.backends.SubprocessBackend._dispatch",
+        producer="repro.parallel.backends.SubprocessBackend._attempt",
         consumer="repro.parallel.worker.main",
     ),
     VersionSpec(
@@ -189,7 +189,7 @@ DEFAULT_VERSION_SPECS: Tuple[VersionSpec, ...] = (
         constant="TASK_VERSION",
         key="version",
         producer="repro.parallel.worker.main",
-        consumer="repro.parallel.backends.SubprocessBackend._dispatch",
+        consumer="repro.parallel.backends.SubprocessBackend._attempt",
     ),
     VersionSpec(
         name="cache-entry",

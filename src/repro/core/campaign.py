@@ -217,8 +217,9 @@ class CampaignResult:
     #: the metrics registry, the propagation tracer and the engine
     #: profiler for post-run export.
     observability: Optional[Observability] = None
-    #: Engine events processed during the main run loop (0 when unknown,
-    #: e.g. results built by legacy paths).
+    #: Engine events processed during the main run loop, not counting
+    #: the progress probe's own firings (0 when unknown, e.g. results
+    #: built by legacy paths).
     events_processed: int = 0
     #: Columnar store the run's records were spilled to when
     #: ``ExperimentConfig(store=...)`` asked for one (None otherwise).
@@ -363,16 +364,25 @@ def _execute_campaign(
             bed.start()
             testbeds[name] = bed
         probe = None
+        probe_firings = 0
         if on_progress is not None and progress_interval:
             on_progress(sim)
+
+            def observe() -> None:
+                nonlocal probe_firings
+                probe_firings += 1
+                on_progress(sim)
+
             # Maximum tie-break priority: the probe observes each instant
             # only after every same-time sim event has run.
             probe = sim.schedule_periodic(
-                progress_interval, lambda: on_progress(sim), priority=1 << 30
+                progress_interval, observe, priority=1 << 30
             )
         try:
             with _gc_paused():
-                events_processed = sim.run_until(duration)
+                # The probe's firings are telemetry, not campaign work:
+                # the count must not depend on whether the run is observed.
+                events_processed = sim.run_until(duration) - probe_firings
         finally:
             if probe is not None:
                 probe.cancel()

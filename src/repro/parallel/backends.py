@@ -9,14 +9,22 @@ the surviving shards to a :class:`SweepBackend`, which decides *where*:
   CI-friendly path, and the reference your parallel results must match
   byte-for-byte.
 * :class:`ProcessPoolBackend` — the historical default: a local
-  :class:`~concurrent.futures.ProcessPoolExecutor`, with the
-  journal-tailing watchdog loop when telemetry is on.
+  :class:`~concurrent.futures.ProcessPoolExecutor`.
 * :class:`SubprocessBackend` — dispatches each shard to a fresh
   ``python -m repro.parallel.worker`` interpreter, locally or across a
   host list over SSH.  The *dispatcher* narrates the run journal on
   behalf of its remote shards (started / liveness heartbeats while the
-  remote interpreter runs / completed-or-failed), so the existing
-  monitor and watchdog see remote shards exactly like local ones.
+  remote interpreter runs / completed-or-failed).
+
+Both parallel backends run under one supervision loop
+(:func:`_supervise`) and supply only how an attempt is launched.  The
+loop keeps at most ``jobs`` attempts in flight, merges each seed's
+first completion, tails the journal into the monitor and applies the
+stall policy (``log``/``requeue``/``abort``) to watchdog verdicts and
+lost workers alike — a pool broken by a dying process, a worker
+interpreter killed by a signal, ssh's exit 255.  Any other failure is
+fatal: nothing more is launched, and the subprocess backend kills its
+running workers before the error propagates.
 
 Every backend funnels each finished shard through the orchestrator's
 ``complete`` callback; merging stays canonical (ascending-seed fold,
@@ -30,6 +38,7 @@ Select one with ``ExperimentConfig(backend=...)`` / ``repro-bt sweep
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -139,6 +148,121 @@ class SerialBackend(SweepBackend):
                 ctx.refresh(time.time())
 
 
+class _WorkerLost(RuntimeError):
+    """A worker interpreter died under its shard (a signal, or ssh's 255)."""
+
+
+#: Attempt errors that mean the worker died, not that its shard failed.
+_LOST = (BrokenProcessPool, _WorkerLost)
+
+
+def _supervise(
+    plan: ShardPlan, workers: int, launch: Callable[[int], "Future[ShardResult]"]
+) -> None:
+    """The one supervision loop every parallel backend runs under.
+
+    ``launch(seed)`` starts one attempt of a shard and returns its
+    future; at most ``workers`` attempts are in flight.  Each seed's
+    first completion is merged from this thread, and a straggler's late
+    duplicate is discarded.  A lost worker (see ``_LOST``) and a
+    watchdog stall verdict are handled per the telemetry policy:
+
+    * ``log`` — warn and keep waiting on a stall; a lost worker is
+      fatal, since its shard can no longer complete.
+    * ``requeue`` — launch the shard again, up to ``max_retries`` extra
+      attempts per seed.
+    * ``abort`` — emit ``sweep_aborted`` and raise
+      :class:`SweepStalledError`.
+
+    An unjournaled sweep has no watchdog and treats a lost worker as
+    ``log`` does.  Any other error from an attempt propagates at once:
+    nothing more is launched, and the caller tears down the attempts
+    still running.
+    """
+    ctx = plan.ctx
+    policy = ctx.telemetry.policy if ctx is not None else "log"
+    retries = ctx.telemetry.max_retries if ctx is not None else 0
+    poll = ctx.telemetry.poll_interval if ctx is not None else None
+    queue = list(plan.pending)
+    attempts = dict.fromkeys(plan.pending, 0)
+    incomplete = set(plan.pending)
+    running: Dict["Future[ShardResult]", int] = {}
+
+    def requeue(seed: int, reason: str) -> None:
+        # attempts[] counts launches so far; the first one is free.
+        if policy != "requeue" or attempts[seed] > retries:
+            verdict = (
+                "retry budget exhausted"
+                if policy == "requeue"
+                else f"stall policy {policy!r}"
+            )
+            if ctx is not None:
+                ctx.abort(reason)
+            raise SweepStalledError(f"{reason} (attempt {attempts[seed]}); {verdict}")
+        if ctx is not None:
+            ctx.writer.emit(
+                SHARD_REQUEUED, seed=seed, wall={"attempt": attempts[seed] + 1}
+            )
+        log.warning(
+            "sweep: requeueing shard seed=%d (attempt %d)", seed, attempts[seed] + 1
+        )
+        queue.append(seed)
+
+    if ctx is not None:
+        for seed in plan.pending:
+            ctx.writer.emit(SHARD_SCHEDULED, seed=seed, index=ctx.index[seed])
+    while incomplete:
+        while queue and len(running) < workers:
+            seed = queue.pop(0)
+            attempts[seed] += 1
+            running[launch(seed)] = seed
+        done, _ = wait(running, timeout=poll, return_when=FIRST_COMPLETED)
+        for future in done:
+            seed = running.pop(future)
+            try:
+                shard = future.result()
+            except _LOST as error:
+                # One death breaks a whole pool and fails every attempt
+                # in it; each incomplete seed is requeued once.
+                if (
+                    seed in incomplete
+                    and seed not in queue
+                    and seed not in running.values()
+                ):
+                    if ctx is not None:
+                        ctx.writer.emit(
+                            SHARD_STALLED, seed=seed, wall={"cause": "worker_exit"}
+                        )
+                    requeue(seed, f"shard seed={seed} lost its worker: {error}")
+                continue
+            if seed in incomplete:
+                incomplete.discard(seed)
+                plan.complete(shard)
+        if ctx is None:
+            continue
+        now = time.time()
+        ctx.refresh(now)
+        for action in ctx.watchdog.check(now):
+            if action.seed not in incomplete:
+                continue
+            ctx.writer.emit(
+                SHARD_STALLED,
+                seed=action.seed,
+                wall={"silent_for": round(action.silent_for, 3)},
+            )
+            log.warning(
+                "sweep: shard seed=%d silent for %.1f s (policy=%s)",
+                action.seed,
+                action.silent_for,
+                policy,
+            )
+            if policy != "log":
+                requeue(
+                    action.seed,
+                    f"shard seed={action.seed} silent for {action.silent_for:.1f} s",
+                )
+
+
 class ProcessPoolBackend(SweepBackend):
     """Local process-pool execution (the historical default)."""
 
@@ -150,168 +274,29 @@ class ProcessPoolBackend(SweepBackend):
             # reference path (byte-identical results either way).
             SerialBackend().run(plan)
             return
+        ctx = plan.ctx
         workers = min(plan.jobs, len(plan.pending))
-        if plan.ctx is None:
-            self._run_plain_pool(plan, workers)
-        else:
-            self._run_monitored_pool(plan, workers, plan.ctx)
-
-    def _run_plain_pool(self, plan: ShardPlan, workers: int) -> None:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    plan.runner, plan.spec.with_seed(seed), plan.with_metrics, None
-                ): seed
-                for seed in plan.pending
-            }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    plan.complete(future.result())
-
-    def _run_monitored_pool(
-        self, plan: ShardPlan, workers: int, ctx: "_SweepTelemetryContext"
-    ) -> None:
-        """The journal-tailing, watchdog-supervised pool loop.
-
-        Stall handling per the telemetry policy:
-
-        * ``log`` — warn and keep waiting; a dead worker process (broken
-          pool) is still fatal, since nothing can complete anymore.
-        * ``requeue`` — resubmit the stalled shard (first completion
-          wins; a straggler's late duplicate result is discarded), up to
-          ``max_retries`` extra attempts per seed; a broken pool is
-          rebuilt and every incomplete shard resubmitted under the same
-          budget.
-        * ``abort`` — emit ``sweep_aborted`` and raise
-          :class:`SweepStalledError` at the first stall verdict.
-        """
-        spec, pending, with_metrics = plan.spec, plan.pending, plan.with_metrics
-        telemetry = ctx.telemetry
-        incomplete: Set[int] = set(pending)
-        attempts: Dict[int, int] = {seed: 0 for seed in pending}
         pool = ProcessPoolExecutor(max_workers=workers)
 
-        def _launch(
-            target: ProcessPoolExecutor, seeds: Sequence[int]
-        ) -> Dict["Future[ShardResult]", int]:
-            out: Dict["Future[ShardResult]", int] = {}
-            for seed in seeds:
-                attempts[seed] += 1
-                out[
-                    target.submit(
-                        plan.runner,
-                        spec.with_seed(seed),
-                        with_metrics,
-                        ctx.shard_telemetry(seed),
-                    )
-                ] = seed
-            return out
+        def launch(seed: int) -> "Future[ShardResult]":
+            nonlocal pool
+            telemetry = ctx.shard_telemetry(seed) if ctx is not None else None
+            args = (plan.spec.with_seed(seed), plan.with_metrics, telemetry)
+            try:
+                return pool.submit(plan.runner, *args)
+            except BrokenProcessPool:
+                # A dying worker took the pool down; the requeued shard
+                # needs a fresh one.
+                pool.shutdown(wait=False)
+                pool = ProcessPoolExecutor(max_workers=workers)
+                return pool.submit(plan.runner, *args)
 
-        def _retry_budget_left(seed: int) -> bool:
-            # attempts[] counts submissions so far; the first one is free.
-            return attempts[seed] <= telemetry.max_retries
-
-        def _requeue(
-            target: ProcessPoolExecutor, seed: int
-        ) -> Dict["Future[ShardResult]", int]:
-            ctx.writer.emit(
-                SHARD_REQUEUED, seed=seed, wall={"attempt": attempts[seed] + 1}
-            )
-            log.warning(
-                "sweep: requeueing shard seed=%d (attempt %d)",
-                seed,
-                attempts[seed] + 1,
-            )
-            return _launch(target, [seed])
-
-        for seed in pending:
-            ctx.writer.emit(SHARD_SCHEDULED, seed=seed, index=ctx.index[seed])
-        futures = _launch(pool, list(pending))
         try:
-            while incomplete:
-                done, _ = wait(
-                    set(futures),
-                    timeout=telemetry.poll_interval,
-                    return_when=FIRST_COMPLETED,
-                )
-                broken: Optional[BrokenProcessPool] = None
-                for future in done:
-                    seed = futures.pop(future)
-                    try:
-                        shard = future.result()
-                    except BrokenProcessPool as error:
-                        broken = error
-                        continue
-                    except Exception:
-                        ctx.abort(f"shard seed={seed} raised")
-                        raise
-                    if seed in incomplete:
-                        incomplete.discard(seed)
-                        plan.complete(shard)
-                now = time.time()
-                ctx.refresh(now)
-                if broken is not None:
-                    # The whole pool died with the worker; every in-flight
-                    # future is lost, so rebuild-and-resubmit is the only
-                    # way to keep the sweep alive.
-                    if telemetry.policy != "requeue":
-                        ctx.abort("worker process died (pool broken)")
-                        raise broken
-                    pool.shutdown(wait=False)
-                    stranded = sorted(incomplete)
-                    for seed in stranded:
-                        ctx.writer.emit(
-                            SHARD_STALLED, seed=seed, wall={"cause": "worker_exit"}
-                        )
-                        if not _retry_budget_left(seed):
-                            ctx.abort(
-                                f"shard seed={seed} lost after "
-                                f"{attempts[seed]} attempt(s)"
-                            )
-                            raise SweepStalledError(
-                                f"shard seed={seed} lost its worker "
-                                f"{attempts[seed]} time(s); retry budget exhausted"
-                            ) from broken
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                    futures = {}
-                    for seed in stranded:
-                        futures.update(_requeue(pool, seed))
-                    continue
-                for action in ctx.watchdog.check(now):
-                    if action.seed not in incomplete:
-                        continue
-                    ctx.writer.emit(
-                        SHARD_STALLED,
-                        seed=action.seed,
-                        wall={"silent_for": round(action.silent_for, 3)},
-                    )
-                    log.warning(
-                        "sweep: shard seed=%d silent for %.1f s (policy=%s)",
-                        action.seed,
-                        action.silent_for,
-                        telemetry.policy,
-                    )
-                    if telemetry.policy == "log":
-                        continue
-                    if telemetry.policy == "abort" or not _retry_budget_left(
-                        action.seed
-                    ):
-                        ctx.abort(
-                            f"shard seed={action.seed} stalled "
-                            f"(silent {action.silent_for:.1f} s)"
-                        )
-                        raise SweepStalledError(
-                            f"shard seed={action.seed} silent past the "
-                            f"{telemetry.heartbeat_deadline:.1f} s deadline "
-                            f"(attempt {attempts[action.seed]})"
-                        )
-                    futures.update(_requeue(pool, action.seed))
+            _supervise(plan, workers, launch)
         finally:
-            # Late duplicates from requeued-but-alive stragglers may still
-            # be running; don't block the merge on them.
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Requeued stragglers may still be running; the merge does
+            # not wait for their late duplicates.
+            pool.shutdown(wait=False)
 
 
 class SubprocessBackend(SweepBackend):
@@ -325,14 +310,15 @@ class SubprocessBackend(SweepBackend):
     have this repro version importable (the sweep fingerprint carried
     by every shard-store entry catches skew downstream).
 
-    Liveness reuses the run journal: the dispatcher thread emits
-    ``shard_heartbeat`` while its worker is alive, so the sweep monitor
-    and stall watchdog treat remote shards exactly like local ones.
+    Each attempt runs on a dispatcher thread under the shared
+    supervision loop.  The worker's exit status decides what a failure
+    is: killed by a signal (or ssh's 255, a lost link) is a lost worker,
+    handled by the stall policy; 1 (the shard raised), 2 (the worker
+    rejected the task) and an unreadable reply fail the sweep with
+    :class:`SweepBackendError`.  When the sweep is journaled, the
+    dispatcher thread emits ``shard_heartbeat`` while its worker is
+    alive, so a hung but living interpreter is never flagged as stalled.
     """
-
-    #: Dispatcher-side heartbeat cadence when the sweep is unjournaled
-    #: (with telemetry on, the sweep's own interval wins).
-    DEFAULT_HEARTBEAT = 10.0
 
     def __init__(
         self,
@@ -380,39 +366,46 @@ class SubprocessBackend(SweepBackend):
         return env
 
     def run(self, plan: ShardPlan) -> None:
-        ctx = plan.ctx
-        if ctx is not None:
-            for seed in plan.pending:
-                ctx.writer.emit(SHARD_SCHEDULED, seed=seed, index=ctx.index[seed])
-        merge_lock = threading.Lock()
         workers = min(plan.jobs, len(plan.pending))
+        slots = itertools.count()
+        live: Set[subprocess.Popen[str]] = set()
+        stop = threading.Event()
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="sweep-dispatch"
-        ) as pool:
-            futures = [
-                pool.submit(self._dispatch, plan, seed, slot, merge_lock)
-                for slot, seed in enumerate(plan.pending)
-            ]
-            for future in futures:
-                future.result()  # re-raise the first dispatch failure
+        ) as threads:
+            try:
+                _supervise(
+                    plan,
+                    workers,
+                    lambda seed: threads.submit(
+                        self._attempt, plan, seed, next(slots), live, stop
+                    ),
+                )
+            finally:
+                # Leave nothing running: kill every worker still alive;
+                # leaving the block joins the threads that reap them.
+                stop.set()
+                for proc in list(live):
+                    proc.kill()
 
-    def _dispatch(
-        self, plan: ShardPlan, seed: int, slot: int, merge_lock: threading.Lock
-    ) -> None:
+    def _attempt(
+        self,
+        plan: ShardPlan,
+        seed: int,
+        slot: int,
+        live: Set[subprocess.Popen[str]],
+        stop: threading.Event,
+    ) -> ShardResult:
+        """One attempt of ``seed`` in a worker interpreter (on a thread)."""
         ctx = plan.ctx
         argv, host = self._argv(slot)
         where = {"backend": self.name, "host": host}
-        task = json.dumps(
+        task: Optional[str] = json.dumps(
             {
                 "version": TASK_VERSION,
                 "spec": spec_to_payload(plan.spec.with_seed(seed)),
                 "with_metrics": plan.with_metrics,
             }
-        )
-        heartbeat = (
-            ctx.telemetry.heartbeat_interval
-            if ctx is not None
-            else self.DEFAULT_HEARTBEAT
         )
         started = time.perf_counter()
         if ctx is not None:
@@ -427,26 +420,31 @@ class SubprocessBackend(SweepBackend):
                 env=self._env(),
             )
         except OSError as error:
-            self._fail(plan, seed, f"cannot launch worker {argv[0]!r}: {error}")
-            raise SweepBackendError(
-                f"backend {self.name}: cannot launch worker: {error}"
+            raise self._fail(
+                plan, seed, f"cannot launch worker {argv[0]!r}: {error}"
             ) from error
+        live.add(proc)
+        # Teardown sets ``stop`` before it reads ``live``, so a worker
+        # started during teardown is killed on one side or the other.
+        if stop.is_set():
+            proc.kill()
+        heartbeat = ctx.telemetry.heartbeat_interval if ctx is not None else None
         while True:
             try:
-                out, err = proc.communicate(input=task, timeout=heartbeat)
+                out, err = proc.communicate(task, timeout=heartbeat)
                 break
             except subprocess.TimeoutExpired:
-                task = None  # type: ignore[assignment]  # stdin sent once
+                task = None  # stdin is sent once
                 if ctx is not None:
-                    # Dispatcher-side liveness: the remote interpreter is
-                    # still running — keep the watchdog fed.
+                    # Dispatcher-side liveness: the worker is still running.
                     ctx.writer.emit(SHARD_HEARTBEAT, seed=seed, wall=dict(where))
-        if proc.returncode != 0:
-            tail = (err or "").strip().splitlines()[-3:]
-            detail = "; ".join(tail) if tail else f"exit status {proc.returncode}"
-            self._fail(plan, seed, detail)
-            raise SweepBackendError(
-                f"backend {self.name}: shard seed={seed} failed on {host}: {detail}"
+        status = proc.returncode
+        if status < 0 or (self.hosts and status == 255):
+            raise _WorkerLost(f"worker on {host} exited with status {status}")
+        if status != 0:
+            tail = "; ".join((err or "").strip().splitlines()[-3:])
+            raise self._fail(
+                plan, seed, f"failed on {host}: {tail or f'exit status {status}'}"
             )
         try:
             reply = json.loads(out)
@@ -454,16 +452,9 @@ class SubprocessBackend(SweepBackend):
                 raise ValueError(f"reply version {reply.get('version')!r}")
             shard = ShardResult.from_payload(reply["shard"])
         except (ValueError, KeyError, TypeError) as error:
-            self._fail(plan, seed, f"unparsable worker reply: {error}")
-            raise SweepBackendError(
-                f"backend {self.name}: shard seed={seed} returned an "
-                f"unparsable reply: {error}"
-            ) from error
+            raise self._fail(plan, seed, f"unparsable reply: {error}") from error
         if shard.seed != seed:
-            self._fail(plan, seed, f"worker returned seed {shard.seed}")
-            raise SweepBackendError(
-                f"backend {self.name}: asked for seed {seed}, got {shard.seed}"
-            )
+            raise self._fail(plan, seed, f"worker returned seed {shard.seed}")
         if ctx is not None:
             wall_time = time.perf_counter() - started
             ctx.writer.emit(
@@ -477,10 +468,10 @@ class SubprocessBackend(SweepBackend):
                 metrics=shard.metrics,
                 wall={**where, "wall_time": round(wall_time, 6)},
             )
-        with merge_lock:
-            plan.complete(shard)
+        return shard
 
-    def _fail(self, plan: ShardPlan, seed: int, detail: str) -> None:
+    def _fail(self, plan: ShardPlan, seed: int, detail: str) -> SweepBackendError:
+        """Journal ``shard_failed`` for ``seed``; return the error to raise."""
         if plan.ctx is not None:
             plan.ctx.writer.emit(
                 SHARD_FAILED,
@@ -488,6 +479,7 @@ class SubprocessBackend(SweepBackend):
                 index=plan.ctx.index[seed],
                 error=f"SweepBackendError: {detail}",
             )
+        return SweepBackendError(f"backend {self.name}: shard seed={seed} {detail}")
 
 
 #: Backend names accepted by :func:`resolve_backend` (plus ``ssh:...``).

@@ -21,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.obs.campaign import SweepMonitor
 from repro.obs.journal import (
     CANONICAL_EVENTS,
     SHARD_CACHE_HIT,
+    ShardTelemetry,
     SweepTelemetry,
     canonical_journal,
     read_journal,
@@ -40,6 +42,8 @@ from repro.parallel import (
     SerialBackend,
     ShardCache,
     SubprocessBackend,
+    SweepBackendError,
+    SweepStalledError,
     pool_statistics,
     pool_stratified,
     resolve_backend,
@@ -48,6 +52,7 @@ from repro.parallel import (
     sweep_fingerprint,
 )
 from repro.collection.store import atomic_writer
+from repro.parallel.backends import ShardPlan
 from repro.parallel.cache import CACHE_VERSION, shard_key
 from repro.parallel.seeds import shard_seed
 from repro.parallel.worker import (
@@ -130,6 +135,145 @@ class TestBackendInvariance:
         assert (
             dispatched.repository.to_payload() == serial.repository.to_payload()
         )
+
+
+# ---------------------------------------------------------------------------
+# Supervision: lost workers, fail-fast, teardown
+# ---------------------------------------------------------------------------
+
+_LAUNCH_LOG = "REPRO_TEST_LAUNCH_LOG"
+
+
+def _raising_runner(spec, with_metrics=False, telemetry=None):
+    """Pool target that records its launch, then fails its shard."""
+    with open(os.environ[_LAUNCH_LOG], "a") as handle:
+        handle.write(f"{spec.seed}\n")
+    raise RuntimeError(f"shard seed={spec.seed} failed")
+
+
+def worker_python(directory, prelude):
+    """A stand-in ``python`` for SubprocessBackend: runs ``prelude`` (sh)
+    and then execs the real interpreter with the worker's arguments."""
+    script = directory / "python"
+    script.write_text(
+        f"#!/bin/sh\necho $$ >> '{directory}/launches'\n{prelude}\n"
+        f"exec '{sys.executable}' \"$@\"\n"
+    )
+    script.chmod(0o755)
+    return str(script)
+
+
+def launches(directory):
+    return len((directory / "launches").read_text().splitlines())
+
+
+#: Kills its own worker with SIGKILL on the first attempt only.
+KILL_FIRST = 'if mkdir "$(dirname "$0")/killed" 2>/dev/null; then kill -9 $$; fi'
+
+
+class TestSubprocessSupervision:
+    """Subprocess workers run under the same loop as the process pool."""
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return run_sweep(2, jobs=1, spec=SPEC, backend="serial")
+
+    def test_lost_worker_is_requeued_into_identical_tables(self, tmp_path, serial):
+        backend = SubprocessBackend(python=worker_python(tmp_path, KILL_FIRST))
+        telemetry = SweepTelemetry(
+            journal=tmp_path / "journal.jsonl", policy="requeue", max_retries=1
+        )
+        result = run_sweep(
+            2, jobs=2, spec=SPEC, backend=backend, telemetry=telemetry
+        )
+        assert launches(tmp_path) == 3
+        assert result.render() == serial.render()
+        assert result.repository.to_payload() == serial.repository.to_payload()
+        assert validate_journal(result.journal) == []
+        events = read_journal(result.journal)
+        stalls = [e for e in events if e["event"] == "shard_stalled"]
+        assert [e["wall"]["cause"] for e in stalls] == ["worker_exit"]
+        assert [e["event"] for e in events].count("shard_requeued") == 1
+
+    def test_lost_worker_under_abort_raises_once(self, tmp_path):
+        backend = SubprocessBackend(python=worker_python(tmp_path, KILL_FIRST))
+        telemetry = SweepTelemetry(journal=tmp_path / "journal.jsonl", policy="abort")
+        with pytest.raises(SweepStalledError, match="lost its worker"):
+            run_sweep(2, jobs=2, spec=SPEC, backend=backend, telemetry=telemetry)
+        events = read_journal(tmp_path / "journal.jsonl")
+        assert [e["event"] for e in events].count("sweep_aborted") == 1
+
+    def test_first_failure_stops_launching(self, tmp_path):
+        backend = SubprocessBackend(python=worker_python(tmp_path, "exit 1"))
+        with pytest.raises(SweepBackendError, match="exit status 1"):
+            run_sweep(4, jobs=1, spec=SPEC, backend=backend)
+        assert launches(tmp_path) == 1
+
+    def test_failure_kills_the_running_workers(self, tmp_path):
+        # The first worker to start sleeps; the other fails once the
+        # sleeper's PID is on disk.
+        prelude = f"""
+if mkdir '{tmp_path}/sleeper' 2>/dev/null; then
+  echo $$ > '{tmp_path}/pid.tmp' && mv '{tmp_path}/pid.tmp' '{tmp_path}/sleeper.pid'
+  exec sleep 60
+fi
+while [ ! -e '{tmp_path}/sleeper.pid' ]; do sleep 0.05; done
+exit 1"""
+        backend = SubprocessBackend(python=worker_python(tmp_path, prelude))
+        started = time.monotonic()
+        with pytest.raises(SweepBackendError):
+            run_sweep(2, jobs=2, spec=SPEC, backend=backend)
+        assert time.monotonic() - started < 30.0  # the sleeper was not awaited
+        pid = int((tmp_path / "sleeper.pid").read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_first_failure_stops_the_unjournaled_pool(self, tmp_path, monkeypatch):
+        log_path = tmp_path / "launches"
+        log_path.touch()
+        monkeypatch.setenv(_LAUNCH_LOG, str(log_path))
+        plan = ShardPlan(
+            spec=SPEC,
+            pending=tuple(range(8)),
+            with_metrics=False,
+            jobs=2,
+            runner=_raising_runner,
+            complete=lambda shard: None,
+        )
+        with pytest.raises(RuntimeError, match="failed"):
+            ProcessPoolBackend().run(plan)
+        assert launches(tmp_path) < 8
+
+    def test_canonical_journal_matches_serial(self, tmp_path):
+        journals = {}
+        for backend in ("serial", "subprocess"):
+            journals[backend] = tmp_path / f"{backend}.jsonl"
+            run_sweep(
+                2, jobs=2, spec=SPEC, backend=backend,
+                telemetry=SweepTelemetry(journal=journals[backend]),
+            )
+        dispatched = read_journal(journals["subprocess"])
+        assert validate_journal(journals["subprocess"]) == []
+        # The remote worker runs unobserved, so it sends no sim-time
+        # progress ticks; every other canonical event is identical.
+        assert canonical_journal(dispatched) == canonical_journal(
+            e for e in read_journal(journals["serial"])
+            if e["event"] != "shard_progress"
+        )
+
+    def test_event_count_ignores_telemetry(self, tmp_path):
+        spec = SPEC.with_seed(7)
+        observed = run_shard(
+            spec,
+            telemetry=ShardTelemetry(
+                journal=str(tmp_path / "journal.jsonl"),
+                fingerprint="fp",
+                index=0,
+                heartbeat_interval=60.0,
+                progress_interval=spec.duration / 20,
+            ),
+        )
+        assert observed.events == run_shard(spec).events > 0
 
 
 # ---------------------------------------------------------------------------

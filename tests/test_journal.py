@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -543,6 +544,50 @@ class TestWorkerDeathPolicies:
             run_sweep(2, jobs=2, telemetry=telemetry)
         events = read_journal(killer / "journal.jsonl")
         assert any(e["event"] == "sweep_aborted" for e in events)
+
+
+def _silent_run_shard(spec, with_metrics=False, telemetry=None):
+    """Pool target whose first attempt starts, then goes silent for 5 s."""
+    try:
+        os.mkdir(os.environ[_KILL_FLAG])
+    except FileExistsError:
+        return run_shard(spec, with_metrics, telemetry=telemetry)
+    with JournalWriter(telemetry.journal, telemetry.fingerprint) as writer:
+        writer.emit(SHARD_STARTED, seed=spec.seed, index=telemetry.index)
+    time.sleep(5.0)
+    return run_shard(spec, with_metrics)
+
+
+class TestStallPolicies:
+    """Watchdog verdicts on a silent (alive but hung) pool worker."""
+
+    @pytest.fixture
+    def silent(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(_KILL_FLAG, str(tmp_path / "silenced"))
+        monkeypatch.setattr(sweep_module, "run_shard", _silent_run_shard)
+        return tmp_path
+
+    def telemetry(self, directory, policy):
+        return telemetry_for(
+            directory, policy=policy, heartbeat_interval=0.1,
+            heartbeat_deadline=1.0, poll_interval=0.05,
+        )
+
+    def test_requeue_finishes_without_the_silent_attempt(self, silent):
+        result = run_sweep(2, jobs=2, telemetry=self.telemetry(silent, "requeue"))
+        events = read_journal(result.journal)
+        stalls = [e for e in events if e["event"] == SHARD_STALLED]
+        assert len(stalls) == 1 and stalls[0]["wall"]["silent_for"] > 1.0
+        assert [e["event"] for e in events].count(SHARD_REQUEUED) == 1
+        assert validate_events(events) == []
+        clean = run_sweep(2, jobs=1)
+        assert result.render() == clean.render()
+
+    def test_abort_raises_on_the_first_verdict(self, silent):
+        with pytest.raises(SweepStalledError, match="silent for"):
+            run_sweep(2, jobs=2, telemetry=self.telemetry(silent, "abort"))
+        events = read_journal(silent / "journal.jsonl")
+        assert [e["event"] for e in events].count("sweep_aborted") == 1
 
 
 class TestCli:
