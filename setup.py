@@ -4,7 +4,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.0.0",
+    version="2.0.0",
     description=(
         "Reproduction of 'Collecting and Analyzing Failure Data of "
         "Bluetooth Personal Area Networks' (DSN 2006)"

@@ -80,7 +80,6 @@ from .core import (
     build_relationship_table,
     build_sira_table,
     coalesce,
-    run_campaign,
     run_connection_length_experiment,
     sensitivity_analysis,
 )
@@ -93,7 +92,7 @@ from .bluetooth import Channel, ChannelConfig, LossProfile, TransferStatistics
 from . import api
 from .api import ExperimentConfig
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -106,7 +105,6 @@ __all__ = [
     "ChannelConfig",
     "LossProfile",
     "TransferStatistics",
-    "run_campaign",
     "run_connection_length_experiment",
     "CampaignResult",
     "DAY",

@@ -16,10 +16,9 @@ built on a shared project graph (:mod:`.graph`): interprocedural
 sim-domain wall-clock/entropy taint (DET010, :mod:`.taint`), RNG
 stream-lineage analysis (DET011/DET012, :mod:`.lineage`), and
 wire-contract drift detection across the shard/worker/cache/journal
-serialisation boundaries (WIRE001-WIRE003, :mod:`.contracts`).  A
-committed baseline file (:mod:`.baseline`) lets the deep suite gate on
-new findings while recorded debt is paid down, and ``--fix-unused``
-(:mod:`.autofix`) mechanically removes allowances LNT001 proved dead.
+serialisation boundaries (WIRE001-WIRE003, :mod:`.contracts`).  Every
+finding gates: the shipped tree is kept clean, and an allowance LNT001
+reports as dead is deleted by hand.
 
 Run it as ``repro-bt lint [paths]`` or ``python -m repro.analysis``;
 both exit non-zero when findings remain.
@@ -31,7 +30,6 @@ from . import contracts as _contracts  # noqa: F401  (registers the deep passes)
 from . import lineage as _lineage  # noqa: F401
 from . import rules as _rules  # noqa: F401  (importing registers the rule pack)
 from . import taint as _taint  # noqa: F401
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .config import LintConfig, module_for_path
 from .engine import LintResult, iter_python_files, lint_paths, lint_source
 from .findings import Finding
@@ -55,7 +53,6 @@ __all__ = [
     "SUPPRESSION_SYNTAX",
     "Suppression",
     "all_rules",
-    "apply_baseline",
     "build_graph",
     "collect_suppressions",
     "deep_passes",
@@ -65,10 +62,8 @@ __all__ = [
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "module_for_path",
     "render_json",
     "render_text",
     "rule_ids",
-    "write_baseline",
 ]

@@ -7,10 +7,8 @@ import argparse
 from pathlib import Path
 from typing import List, Optional
 
-from .autofix import apply_fixes, plan_fixes
-from .baseline import write_baseline
 from .config import DEFAULT_CONFIG
-from .engine import UNUSED_SUPPRESSION_RULE, lint_paths
+from .engine import lint_paths
 from .registry import all_rules, deep_rule_summaries
 from .report import render_json, render_text
 from .suppressions import SUPPRESSION_SYNTAX
@@ -44,29 +42,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "(DET010-DET012, WIRE001-WIRE003)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="committed baseline file: matching findings are absorbed; "
-        "stale entries are reported (LNT003)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the run's findings into --baseline PATH and exit 0",
-    )
-    parser.add_argument(
-        "--fix-unused",
-        action="store_true",
-        help="plan removal of suppressions LNT001 proves unused "
-        "(dry run; add --apply to rewrite files)",
-    )
-    parser.add_argument(
-        "--apply",
-        action="store_true",
-        help="with --fix-unused: actually rewrite the files",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule pack and suppression syntax, then exit",
@@ -84,30 +59,8 @@ def list_rules_text() -> str:
     lines.append("Meta findings:")
     lines.append("  LNT001  unused '# repro: allow[...]' suppression")
     lines.append("  LNT002  file does not parse / cannot be read")
-    lines.append("  LNT003  stale baseline entry (matches no finding)")
     lines.append(f"Suppress a finding inline with: {SUPPRESSION_SYNTAX}")
     return "\n".join(lines)
-
-
-def _run_fix_unused(args: argparse.Namespace, select: Optional[List[str]]) -> int:
-    """``--fix-unused``: plan (and optionally apply) LNT001 removals."""
-    result = lint_paths(args.paths, DEFAULT_CONFIG, select, deep=args.deep)
-    unused = [f for f in result.findings if f.rule == UNUSED_SUPPRESSION_RULE]
-    plans = plan_fixes(unused)
-    if not plans:
-        print("fix-unused: no unused suppressions to remove")
-        return 0
-    for plan in plans:
-        print(plan.describe())
-    if args.apply:
-        changed = apply_fixes(plans)
-        print(f"fix-unused: rewrote {changed} line(s)")
-    else:
-        print(
-            f"fix-unused: {len(plans)} line(s) would change "
-            "(dry run; pass --apply to rewrite)"
-        )
-    return 0
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -115,30 +68,13 @@ def run_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(list_rules_text())
         return 0
-    if args.write_baseline and not args.baseline:
-        print("repro-bt lint: --write-baseline requires --baseline PATH")
-        return 2
     missing = [path for path in args.paths if not Path(path).exists()]
     if missing:
         print(f"repro-bt lint: no such path(s): {', '.join(missing)}")
         return 2
     select = args.select.split(",") if args.select else None
     try:
-        if args.fix_unused:
-            return _run_fix_unused(args, select)
-        if args.write_baseline:
-            # Record current findings (post-suppression, pre-baseline).
-            result = lint_paths(args.paths, DEFAULT_CONFIG, select, deep=args.deep)
-            count = write_baseline(args.baseline, result.findings)
-            print(f"wrote {count} finding(s) to {args.baseline}")
-            return 0
-        result = lint_paths(
-            args.paths,
-            DEFAULT_CONFIG,
-            select,
-            deep=args.deep,
-            baseline=args.baseline,
-        )
+        result = lint_paths(args.paths, DEFAULT_CONFIG, select, deep=args.deep)
     except ValueError as exc:
         print(f"repro-bt lint: {exc}")
         return 2

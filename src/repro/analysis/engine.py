@@ -1,5 +1,5 @@
-"""The lint engine: file discovery, per-file runs, the deep stage,
-suppression filtering, and baseline application.
+"""The lint engine: file discovery, per-file runs, the deep stage and
+suppression filtering.
 
 A lint run has up to two stages.  The *per-file* stage parses each file
 independently and runs the DET001-DET007 checkers.  The *deep* stage
@@ -11,9 +11,7 @@ to the registered whole-program passes (DET010-DET012, WIRE001-WIRE003).
 Both stages honour ``# repro: allow[RULE]`` and feed LNT001: an inline
 allowance for a deep rule that suppresses nothing (and sanctions no
 taint source or edge) is itself a finding, judged by whichever stage
-owns the rule.  An optional baseline file absorbs known findings by
-``(path, rule, message)``; baseline entries that no longer match
-anything are reported as LNT003 so recorded debt only shrinks.
+owns the rule.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .baseline import apply_baseline, load_baseline
 from .config import DEFAULT_CONFIG, LintConfig, module_for_path
 from .findings import Finding
 from .graph import build_graph
@@ -34,8 +31,6 @@ from .suppressions import collect_suppressions
 UNUSED_SUPPRESSION_RULE = "LNT001"
 #: Rule id reported for files the parser rejects.
 SYNTAX_ERROR_RULE = "LNT002"
-#: Rule id reported for baseline entries matching no current finding.
-STALE_BASELINE_RULE = "LNT003"
 
 
 @dataclass(frozen=True)
@@ -220,14 +215,11 @@ def lint_paths(
     config: LintConfig = DEFAULT_CONFIG,
     select: Optional[Sequence[str]] = None,
     deep: bool = False,
-    baseline: Optional[Union[str, Path]] = None,
 ) -> LintResult:
     """Lint every Python file under ``paths``.
 
-    ``deep=True`` adds the whole-program passes; ``baseline`` names a
-    committed findings file to subtract (stale entries become LNT003).
-    May raise ``ValueError`` for an unknown ``--select`` id or an
-    unusable baseline file.
+    ``deep=True`` adds the whole-program passes.  May raise
+    ``ValueError`` for an unknown ``--select`` id.
     """
     file_sel, deep_sel = _resolve_selection(select, deep)
     findings: List[Finding] = []
@@ -251,31 +243,11 @@ def lint_paths(
         findings.extend(lint_source(source, file_path, config, file_sel))
     if deep_sel:
         findings.extend(_run_deep(files, sources, config, set(deep_sel)))
-    findings = sorted(findings)
-    if baseline is not None:
-        entries = load_baseline(baseline)
-        findings, stale = apply_baseline(findings, entries)
-        for path, rule, message in stale:
-            findings.append(
-                Finding(
-                    path=str(baseline),
-                    line=1,
-                    col=1,
-                    rule=STALE_BASELINE_RULE,
-                    message=(
-                        f"stale baseline entry: no current {rule} finding "
-                        f"in {path} matching {message!r} — refresh with "
-                        "--write-baseline"
-                    ),
-                )
-            )
-        findings = sorted(findings)
-    return LintResult(findings=findings, files=len(files))
+    return LintResult(findings=sorted(findings), files=len(files))
 
 
 __all__ = [
     "LintResult",
-    "STALE_BASELINE_RULE",
     "SYNTAX_ERROR_RULE",
     "UNUSED_SUPPRESSION_RULE",
     "iter_python_files",

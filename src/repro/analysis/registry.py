@@ -54,7 +54,7 @@ class DeepPass:
     once per lint invocation against the shared project graph and may
     emit findings under several related rule ids.  ``rules`` maps each
     id to its one-line summary; ``run`` returns raw findings — the
-    engine applies suppressions and the baseline afterwards.
+    engine applies suppressions afterwards.
     """
 
     #: Rule id -> one-line summary for every rule this pass emits.

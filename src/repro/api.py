@@ -10,14 +10,9 @@ One façade fronts every way of executing the paper's campaign:
 * :func:`run` / :func:`sweep` — one-shot module-level conveniences that
   build the config and execute it in a single call.
 
-This module subsumes the three historical entry points
-(:func:`repro.core.campaign.run_campaign`,
-:meth:`repro.core.campaign.CampaignSpec.run`, and
-:func:`repro.parallel.sweep.run_campaign_sweep`) — those remain as thin
-shims that emit :class:`DeprecationWarning` and forward here, and are
-scheduled for removal in 2.0.  All four paths share one executor, so a
-migrated call site produces byte-identical repositories, tables and
-stored sweep shards.
+Every caller (the ``repro-bt`` CLI, the examples, the benchmarks)
+executes campaigns through these verbs, which share one executor,
+:meth:`repro.core.campaign.CampaignSpec._execute`.
 
 Quickstart::
 
@@ -288,8 +283,8 @@ def run(
 ) -> CampaignResult:
     """Build an :class:`ExperimentConfig` from keywords and run it once.
 
-    ``api.run(duration=86_400.0, seed=7)`` is the one-call replacement
-    for the deprecated ``run_campaign(86_400.0, 7)``.
+    ``api.run(duration=86_400.0, seed=7)`` runs one simulated day on
+    seed 7.
     """
     return ExperimentConfig(**config).run(  # type: ignore[arg-type]
         observability=observability

@@ -395,10 +395,6 @@ class TransferStatistics:
         return self.n_packets * self.p_drop
 
     @property
-    def expected_mismatches(self) -> float:
-        return self.n_packets * self.p_mismatch
-
-    @property
     def survival_probability(self) -> float:
         """P(the whole batch completes without a drop)."""
         return (1.0 - self.p_drop) ** self.n_packets

@@ -15,8 +15,7 @@ Main subcommands::
     repro-bt lint src                                       # determinism lint
 
 Every campaign-executing subcommand routes through the unified
-:mod:`repro.api` facade (``campaign`` is the legacy alias of ``run``,
-kept for existing scripts).
+:mod:`repro.api` facade.
 
 ``run`` runs the two testbeds and dumps the repository (JSONL) plus
 every rendered table/figure into the output directory; ``analyze``
@@ -42,7 +41,7 @@ that tightens the rare failure classes without bias) and
 renders a live (or final) single-screen status over that journal;
 ``report <dir>`` renders the post-mortem timeline and straggler table
 from it (``--check`` validates the journal against the schema and exits
-non-zero on violations).  ``campaign`` accepts ``--metrics-out`` /
+non-zero on violations).  ``run`` accepts ``--metrics-out`` /
 ``--trace-out`` to instrument a normal run; ``-v/-vv`` raises the
 logging verbosity everywhere.
 """
@@ -145,7 +144,7 @@ def _reject_batch_observability(args: argparse.Namespace) -> Optional[str]:
     )
 
 
-def cmd_campaign(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     """Run a campaign, dump repository + analysis to --out."""
     error = _reject_batch_observability(args)
     if error:
@@ -568,32 +567,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_help = "run one campaign through repro.api and dump it"
-    for name, help_text in (
-        ("run", run_help),
-        ("campaign", run_help + " (legacy alias of 'run')"),
-    ):
-        campaign = sub.add_parser(name, help=help_text)
-        campaign.add_argument("--hours", type=float, default=24.0)
-        campaign.add_argument("--seed", type=int, default=0)
-        campaign.add_argument("--masking", action="store_true",
-                              help="enable the three masking strategies")
-        campaign.add_argument("--out", default="campaign_out")
-        campaign.add_argument("--fidelity", choices=("bit", "batch"),
-                              default="bit",
-                              help="execution mode: bit-accurate per-packet "
-                                   "engine (default) or vectorised batch "
-                                   "fast path (~10x faster, statistically "
-                                   "equivalent, no per-packet flags)")
-        campaign.add_argument("--metrics-out", default=None,
-                              help="write Prometheus text exposition here")
-        campaign.add_argument("--trace-out", default=None,
-                              help="write the JSONL propagation trace here")
-        campaign.add_argument("--store", default=None,
-                              help="also spill the repository into a columnar "
-                                   "SQLite failure store at this path "
-                                   "(query it with 'repro-bt query')")
-        campaign.set_defaults(func=cmd_campaign)
+    run = sub.add_parser(
+        "run", help="run one campaign through repro.api and dump it"
+    )
+    run.add_argument("--hours", type=float, default=24.0)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--masking", action="store_true",
+                     help="enable the three masking strategies")
+    run.add_argument("--out", default="campaign_out")
+    run.add_argument("--fidelity", choices=("bit", "batch"),
+                     default="bit",
+                     help="execution mode: bit-accurate per-packet "
+                          "engine (default) or vectorised batch "
+                          "fast path (~10x faster, statistically "
+                          "equivalent, no per-packet flags)")
+    run.add_argument("--metrics-out", default=None,
+                     help="write Prometheus text exposition here")
+    run.add_argument("--trace-out", default=None,
+                     help="write the JSONL propagation trace here")
+    run.add_argument("--store", default=None,
+                     help="also spill the repository into a columnar "
+                          "SQLite failure store at this path "
+                          "(query it with 'repro-bt query')")
+    run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser(
         "sweep", help="run a multi-seed sweep across a process pool"

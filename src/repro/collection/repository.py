@@ -18,7 +18,6 @@ byte-identical across backends.
 from __future__ import annotations
 
 import json
-import warnings
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
@@ -68,14 +67,6 @@ class CentralRepository:
         self.ingest_test(other._test)
         self.ingest_system(other._system)
         return self
-
-    @classmethod
-    def from_shards(cls, repositories: Iterable["CentralRepository"]) -> "CentralRepository":
-        """One repository holding every record of ``repositories``."""
-        merged = cls()
-        for repository in repositories:
-            merged.merge(repository)
-        return merged
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
@@ -145,47 +136,6 @@ class CentralRepository:
                 if testbed is not None and testbed_of(record.node) != testbed:
                     continue
                 yield record
-
-    def test_records(
-        self,
-        node: Optional[str] = None,
-        testbed: Optional[str] = None,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> List[TestLogRecord]:
-        """User-level reports, optionally restricted by node/testbed/time.
-
-        .. deprecated:: 1.3
-           Use :meth:`iter_records` (``kind="test"``) instead.
-        """
-        warnings.warn(
-            "CentralRepository.test_records() is deprecated. use iter_records("
-            "kind='test', node=..., testbed=..., start=..., end=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(
-            self.iter_records(kind="test", node=node, testbed=testbed, start=start, end=end)
-        )
-
-    def system_records(
-        self,
-        node: Optional[str] = None,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> List[SystemLogRecord]:
-        """System-level entries, optionally restricted by node/time.
-
-        .. deprecated:: 1.3
-           Use :meth:`iter_records` (``kind="system"``) instead.
-        """
-        warnings.warn(
-            "CentralRepository.system_records() is deprecated. use iter_records("
-            "kind='system', node=..., start=..., end=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.iter_records(kind="system", node=node, start=start, end=end))
 
     def nodes(self) -> List[str]:
         """All node names present in either record stream, sorted."""
@@ -279,34 +229,6 @@ class CentralRepository:
 
     def close(self) -> None:
         """Protocol parity with on-disk stores; nothing to release."""
-
-    def dump(self, directory: Union[str, Path]) -> None:
-        """Persist the repository as two JSONL files in ``directory``.
-
-        .. deprecated:: 1.3
-           Use :meth:`flush` (the :class:`FailureStore` surface) instead.
-        """
-        warnings.warn(
-            "CentralRepository.dump() is deprecated. use flush(directory) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.flush(directory)
-
-    @classmethod
-    def load(cls, directory: Union[str, Path]) -> "CentralRepository":
-        """Rebuild a repository dumped with :meth:`dump`.
-
-        .. deprecated:: 1.3
-           Use :meth:`open` (the :class:`FailureStore` surface) instead.
-        """
-        warnings.warn(
-            "CentralRepository.load() is deprecated. use CentralRepository.open(directory)"
-            " instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls.open(directory)
 
 
 __all__ = ["CentralRepository"]

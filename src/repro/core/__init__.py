@@ -54,7 +54,6 @@ from .campaign import (
     CampaignResult,
     DAY,
     DEFAULT_DURATION,
-    run_campaign,
     run_connection_length_experiment,
 )
 from .markov import (
@@ -114,7 +113,6 @@ __all__ = [
     "IdleTimeAnalysis",
     "idle_time_analysis",
     "CampaignResult",
-    "run_campaign",
     "run_connection_length_experiment",
     "DAY",
     "DEFAULT_DURATION",

@@ -24,7 +24,6 @@ from typing import (
 
 import contextlib
 import gc
-import warnings
 from pathlib import Path
 
 from repro.collection.records import TestLogRecord
@@ -121,29 +120,13 @@ class CampaignSpec:
             rare_boost=self.rare_boost, boosted=rare_failure_types()
         )
 
-    def run(self, observability: Optional[Observability] = None) -> "CampaignResult":
-        """Execute the campaign this spec describes.
-
-        .. deprecated:: 1.1
-           Use :class:`repro.api.ExperimentConfig` (or
-           :func:`repro.api.run`) instead; this shim forwards to the
-           same executor and will be removed in 2.0.
-        """
-        warnings.warn(
-            "CampaignSpec.run() is deprecated; use repro.api.ExperimentConfig"
-            "(...).run() (or repro.api.run(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._execute(observability=observability)
-
     def _execute(
         self,
         observability: Optional[Observability] = None,
         on_progress: Optional[Callable[[Simulator], None]] = None,
         progress_interval: Optional[float] = None,
     ) -> "CampaignResult":
-        """Execute this spec (internal, warning-free entry point)."""
+        """Execute this spec (the executor behind :mod:`repro.api`)."""
         if self.fidelity == "batch":
             # Lazy import: the bit engine stays importable without numpy.
             from repro.sim.batch import execute_batch_campaign
@@ -267,40 +250,6 @@ class CampaignResult:
             for key, count in stats.cycles_by_packet_type.items():
                 merged[key] = merged.get(key, 0) + count
         return merged
-
-
-def run_campaign(
-    duration: float = DEFAULT_DURATION,
-    seed: int = 0,
-    masking: MaskingPolicy = MaskingPolicy.all_off(),
-    workloads: Sequence[str] = ("random", "realistic"),
-    profiles: Sequence[NodeProfile] = ALL_PROFILES,
-    hardware_replacement: bool = True,
-    observability: Optional[Observability] = None,
-) -> CampaignResult:
-    """Deploy and run the testbeds for ``duration`` simulated seconds.
-
-    .. deprecated:: 1.1
-       Use :func:`repro.api.run` (or
-       :meth:`repro.api.ExperimentConfig.run`) instead; this shim
-       forwards every argument to the same executor and will be removed
-       in 2.0.
-    """
-    warnings.warn(
-        "run_campaign() is deprecated; use repro.api.run(...) "
-        "(or repro.api.ExperimentConfig(...).run()) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _execute_campaign(
-        duration=duration,
-        seed=seed,
-        masking=masking,
-        workloads=workloads,
-        profiles=profiles,
-        hardware_replacement=hardware_replacement,
-        observability=observability,
-    )
 
 
 def _execute_campaign(
@@ -440,7 +389,6 @@ def run_connection_length_experiment(
 __all__ = [
     "CampaignResult",
     "CampaignSpec",
-    "run_campaign",
     "run_connection_length_experiment",
     "DAY",
     "DEFAULT_DURATION",

@@ -205,14 +205,6 @@ class FailureModel:
     """The full Table 1 taxonomy, exposed as a queryable object."""
 
     @staticmethod
-    def user_types() -> Tuple[UserFailureType, ...]:
-        return tuple(UserFailureType)
-
-    @staticmethod
-    def system_types() -> Tuple[SystemFailureType, ...]:
-        return tuple(SystemFailureType)
-
-    @staticmethod
     def user_types_in_group(group: UserFailureGroup) -> Tuple[UserFailureType, ...]:
         return tuple(t for t in UserFailureType if t.group is group)
 

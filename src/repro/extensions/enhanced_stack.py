@@ -11,7 +11,7 @@ those findings as a deployable configuration:
 * the SIRA cascade as the recovery engine (always on in this library).
 
 :func:`run_enhanced_campaign` runs a campaign with the whole bundle
-applied, for comparison against a plain :func:`repro.run_campaign`.
+applied, for comparison against a plain :func:`repro.api.run`.
 """
 
 from __future__ import annotations

@@ -143,10 +143,6 @@ class Observability:
         """Write the trace as JSONL to ``path``."""
         return write_trace_jsonl(self.tracer, path)
 
-    def propagation_summary(self) -> str:
-        """Human-readable summary of observed propagation paths."""
-        return render_propagation_summary(self.tracer)
-
 
 __all__ = [
     "Observability",

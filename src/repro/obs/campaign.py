@@ -22,9 +22,9 @@ OpenMetrics textfile exporter for scraping.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from . import journal as jn
 
@@ -541,7 +541,12 @@ def render_report(events: List[dict], now: Optional[float] = None) -> str:
             )
             detail = ""
             if event["event"] == jn.SHARD_STALLED:
-                detail = f"silent {wall.get('silent_for', '?')}s"
+                # A lost worker's stall names its cause; a watchdog
+                # stall reports how long the shard was silent.
+                if "cause" in wall:
+                    detail = f"cause {wall['cause']}"
+                else:
+                    detail = f"silent {wall.get('silent_for', '?')}s"
             elif event["event"] == jn.SHARD_REQUEUED:
                 detail = f"attempt {wall.get('attempt', '?')}"
             elif event["event"] == jn.SHARD_FAILED:

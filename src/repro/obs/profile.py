@@ -107,13 +107,6 @@ class EngineProfiler:
         )
         return ranked[:n]
 
-    def summary_rows(self, n: int = 10) -> List[Tuple[str, str, str, str]]:
-        """(callsite, calls, total ms, mean us) rows for table rendering."""
-        return [
-            (key, str(s.calls), f"{1e3 * s.seconds:.1f}", f"{s.mean_us:.1f}")
-            for key, s in self.top_callsites(n)
-        ]
-
     def render(self, n: int = 10) -> str:
         """A plain-text profile report."""
         lines = [

@@ -69,7 +69,7 @@ from .stats import (
     pool_values,
     t_critical_95,
 )
-from .sweep import SweepResult, SweepStalledError, run_campaign_sweep
+from .sweep import SweepResult, SweepStalledError
 
 __all__ = [
     "CacheStats",
@@ -88,7 +88,6 @@ __all__ = [
     "pool_values",
     "resolve_backend",
     "resolve_seeds",
-    "run_campaign_sweep",
     "run_shard",
     "shard_seed",
     "shard_seeds",

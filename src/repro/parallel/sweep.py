@@ -31,7 +31,6 @@ Table 1-4 numbers.  This module is that harness:
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -204,10 +203,6 @@ class SweepResult:
 
     # -- pooled statistics ---------------------------------------------------
 
-    def per_seed_statistics(self) -> List[Tuple[int, Dict[str, float]]]:
-        """(seed, Table 1-4 scalars) per nominal shard, in canonical order."""
-        return [(shard.seed, shard.statistics) for shard in self.shards]
-
     def pooled(self) -> Dict[str, PooledStat]:
         """Mean / 95% CI of every statistic across the replicates.
 
@@ -268,38 +263,6 @@ class SweepResult:
         lines.append("")
         lines.append(self.render_statistics())
         return "\n".join(lines)
-
-
-def run_campaign_sweep(
-    seeds: Union[int, Sequence[int]],
-    jobs: int = 1,
-    spec: Optional[CampaignSpec] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    with_metrics: bool = False,
-    progress: Optional[Callable[[ShardResult, bool], None]] = None,
-) -> SweepResult:
-    """Run one campaign replicate per seed, in parallel, and merge.
-
-    .. deprecated:: 1.1
-       Use :func:`repro.api.sweep` (or
-       :meth:`repro.api.ExperimentConfig.sweep`) instead; this shim
-       forwards every argument to the same executor and will be removed
-       in 2.0.
-    """
-    warnings.warn(
-        "run_campaign_sweep() is deprecated; use repro.api.sweep(...) "
-        "(or repro.api.ExperimentConfig(...).sweep(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _execute_sweep(
-        seeds,
-        jobs=jobs,
-        spec=spec,
-        checkpoint_dir=checkpoint_dir,
-        with_metrics=with_metrics,
-        progress=progress,
-    )
 
 
 class _SweepTelemetryContext:
@@ -683,4 +646,4 @@ def _execute_sweep(
         count = grown
 
 
-__all__ = ["SweepResult", "SweepStalledError", "run_campaign_sweep"]
+__all__ = ["SweepResult", "SweepStalledError"]

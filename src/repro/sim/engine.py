@@ -141,11 +141,6 @@ class PeriodicHandle:
         """Whether the timer will keep firing."""
         return self._active
 
-    @property
-    def next_time(self) -> float:
-        """Deadline of the next armed firing (meaningless once cancelled)."""
-        return self._event.time
-
     def cancel(self) -> None:
         """Stop future firings.  Idempotent."""
         if not self._active:

@@ -125,11 +125,5 @@ class Testbed:
     def total_cycles(self) -> int:
         return sum(c.stats.cycles for c in self.clients())
 
-    def total_failures(self) -> int:
-        return sum(c.stats.failures for c in self.clients())
-
-    def total_masked(self) -> int:
-        return sum(c.stats.masked for c in self.clients())
-
 
 __all__ = ["Testbed"]

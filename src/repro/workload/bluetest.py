@@ -55,18 +55,6 @@ class CycleStats:
     idle_fail_sum: float = 0.0
     idle_fail_count: int = 0
 
-    def note_cycle_type(self, packet_type: PacketType) -> None:
-        key = packet_type.code
-        self.cycles_by_packet_type[key] = self.cycles_by_packet_type.get(key, 0) + 1
-
-    @property
-    def mean_idle_ok(self) -> float:
-        return self.idle_ok_sum / self.idle_ok_count if self.idle_ok_count else 0.0
-
-    @property
-    def mean_idle_fail(self) -> float:
-        return self.idle_fail_sum / self.idle_fail_count if self.idle_fail_count else 0.0
-
 
 class BlueTestClient:
     """The instrumented PANU-side workload of one node."""
@@ -102,14 +90,12 @@ class BlueTestClient:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> Generator:
-        """The 24/7 workload process.
+        """The 24/7 workload process: one BlueTest cycle per iteration.
 
-        The per-cycle bookkeeping *and* the cycle body of
-        :meth:`run_cycle`/:meth:`_cycle_body` are inlined here (keep
-        them in sync): the loop resumes once per simulated event, so
-        one long-lived generator frame replaces the run -> run_cycle ->
-        _cycle_body delegation chain.  :meth:`run_cycle` remains the
-        entry point for driving a single cycle directly.
+        The per-cycle bookkeeping and the cycle body share this one
+        generator frame because the loop resumes once per simulated
+        event: a helper generator per cycle would add a frame to every
+        resume.
         """
         stats = self.stats
         model = self.model
@@ -181,66 +167,6 @@ class BlueTestClient:
     @property
     def node_name(self) -> str:
         return self.stack.traits.name
-
-    def run_cycle(self, params: CycleParams) -> Generator:
-        """Execute one BlueTest cycle; failures are handled internally."""
-        self.stats.cycles += 1
-        had_connection = self._connection is not None and self._connection.alive
-        packet_type = params.packet_type or STACK_CHOICE
-        self.stats.note_cycle_type(packet_type)
-        failed = False
-        try:
-            yield from self._cycle_body(params, packet_type)
-        except BTError as error:
-            failed = True
-            yield from self._handle_failure(error, params, packet_type)
-        if had_connection:
-            # Idle-time bookkeeping only counts T_W between consecutive
-            # cycles on the same connection (paper §6, footnote 8).
-            if failed:
-                self.stats.idle_fail_sum += params.idle_time
-                self.stats.idle_fail_count += 1
-            else:
-                self.stats.idle_ok_sum += params.idle_time
-                self.stats.idle_ok_count += 1
-        return None
-
-    def _cycle_body(self, params: CycleParams, packet_type: PacketType) -> Generator:
-        needs_connection = self._connection is None or not self._connection.alive
-        # Cycles that continue an established connection skip the
-        # search phases — the point of exploiting caching (paper §3);
-        # the Random WL tears its connection down every cycle, so it
-        # searches (flags permitting) every time.
-        if needs_connection and params.scan_flag:
-            yield from self.stack.inquiry()
-        did_sdp = False
-        if needs_connection and (params.sdp_flag or self.masking.sdp_before_pan):
-            yield from self.stack.sdp_search_nap()
-            did_sdp = True
-        if needs_connection:
-            if self._connection is not None:
-                self._connection.force_close()
-                self._connection = None
-            connection = yield from self.stack.pan.connect(sdp_performed=did_sdp)
-            self._connection = connection
-            self._cycles_left_on_connection = self.model.cycles_per_connection(self.rng)
-            self._cycle_index_on_connection = 0
-            # Application set-up work before the socket is bound.
-            yield Timeout(self.rng.uniform(0.5, 2.0))
-            yield from self.stack.pan.bind(connection, wait_ready=self.masking.bind_wait)
-        self._cycle_index_on_connection += 1
-        yield from self._connection.transfer(
-            packet_type,
-            params.n_logical,
-            params.send_size,
-            params.recv_size,
-            application=params.application,
-        )
-        self._cycles_left_on_connection -= 1
-        if self._cycles_left_on_connection <= 0:
-            yield from self._connection.disconnect()
-            self._connection = None
-        return None
 
     # -- failure handling ------------------------------------------------------
 

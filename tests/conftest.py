@@ -26,10 +26,9 @@ HOURS = 3600.0
 def pytest_configure(config):
     """Assert warning-free collection: importing the tree is silent.
 
-    Every internal caller is migrated off the 1.x deprecation shims, so
-    importing the whole package under ``error::DeprecationWarning`` must
-    not raise.  Tests that exercise the shims on purpose use
-    ``pytest.warns``, which overrides the session filters.
+    No module may emit a ``DeprecationWarning`` at import time, whether
+    its own or one from a library it calls, so importing the main
+    modules under ``error::DeprecationWarning`` must not raise.
     """
     import importlib
 

@@ -3,8 +3,7 @@
 Covers the shared project graph (import-alias and call resolution), the
 interprocedural sim-domain taint pass (DET010), RNG stream-lineage
 analysis (DET011/DET012), wire-contract drift detection
-(WIRE001-WIRE003), the baseline workflow, ``--fix-unused``, the
-``--select`` vocabulary error, and the self-check that the shipped tree
+(WIRE001-WIRE003), the ``--select`` vocabulary error, and the self-check that the shipped tree
 is deep-lint clean.
 
 Fixtures are synthesized module trees under ``tmp_path/src/repro/...``:
@@ -22,20 +21,15 @@ from typing import Dict, List, Optional, Sequence
 import pytest
 
 from repro.analysis import (
-    apply_baseline,
     build_graph,
     deep_rule_ids,
     lint_paths,
-    load_baseline,
     render_json,
     rule_ids,
-    write_baseline,
 )
-from repro.analysis.autofix import apply_fixes, plan_fixes
 from repro.analysis.cli import main as lint_main
 from repro.analysis.config import DEFAULT_CONFIG
 from repro.analysis.engine import (
-    STALE_BASELINE_RULE,
     UNUSED_SUPPRESSION_RULE,
     iter_python_files,
     lint_source,
@@ -661,7 +655,7 @@ def test_cli_list_rules_includes_deep_pack(capsys):
     out = capsys.readouterr().out
     for rule in deep_rule_ids():
         assert rule in out
-    assert "LNT003" in out
+    assert "LNT001" in out and "LNT002" in out
 
 
 def test_json_report_round_trips_deep_findings(tmp_path):
@@ -671,7 +665,7 @@ def test_json_report_round_trips_deep_findings(tmp_path):
     assert payload["ok"] is False
     rules = {f["rule"] for f in payload["findings"]}
     assert "WIRE001" in rules
-    valid = set(rule_ids()) | set(deep_rule_ids()) | {"LNT001", "LNT002", "LNT003"}
+    valid = set(rule_ids()) | set(deep_rule_ids()) | {"LNT001", "LNT002"}
     for finding in payload["findings"]:
         assert set(finding) == {"path", "line", "col", "rule", "message"}
         assert finding["rule"] in valid
@@ -689,161 +683,6 @@ def test_empty_target_set_is_clean(tmp_path):
 def test_cli_nonexistent_path_exits_2_with_deep(tmp_path, capsys):
     assert lint_main([str(tmp_path / "missing"), "--deep"]) == 2
     assert "no such path" in capsys.readouterr().out
-
-
-# ---------------------------------------------------------------------------
-# baseline workflow
-
-
-def test_baseline_round_trip(tmp_path):
-    root = make_tree(tmp_path, {"repro/parallel/shard.py": DRIFTED_SHARD})
-    findings = lint_paths([root], deep=True).findings
-    assert findings
-    baseline_path = tmp_path / "baseline.json"
-    count = write_baseline(baseline_path, findings)
-    assert count == len(findings)
-    entries = load_baseline(baseline_path)
-    kept, stale = apply_baseline(findings, entries)
-    assert kept == [] and stale == []
-
-
-def test_baseline_gates_only_new_findings(tmp_path):
-    root = make_tree(tmp_path, {"repro/parallel/shard.py": DRIFTED_SHARD})
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, lint_paths([root], deep=True).findings)
-    result = lint_paths([root], deep=True, baseline=baseline_path)
-    assert result.ok  # everything recorded: the gate passes
-    # a new finding is NOT absorbed
-    extra = root / "repro" / "sim" / "new.py"
-    extra.parent.mkdir(parents=True, exist_ok=True)
-    extra.write_text(
-        "def setup(streams):\n"
-        "    return streams.stream('x'), streams.stream('x')\n",
-        encoding="utf-8",
-    )
-    result = lint_paths([root], deep=True, baseline=baseline_path)
-    assert {f.rule for f in result.findings} == {"DET011"}
-
-
-def test_stale_baseline_entries_reported(tmp_path):
-    root = make_tree(tmp_path, {"repro/parallel/shard.py": DRIFTED_SHARD})
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, lint_paths([root], deep=True).findings)
-    clean = (
-        "PAYLOAD_VERSION = 4\n"
-        "class ShardResult:\n"
-        "    def to_payload(self):\n"
-        "        return {'version': PAYLOAD_VERSION, 'seed': self.seed}\n"
-        "    @classmethod\n"
-        "    def from_payload(cls, payload):\n"
-        "        if payload.get('version') != PAYLOAD_VERSION:\n"
-        "            raise ValueError('skew')\n"
-        "        return cls(payload['seed'])\n"
-    )
-    (root / "repro" / "parallel" / "shard.py").write_text(clean, encoding="utf-8")
-    result = lint_paths([root], deep=True, baseline=baseline_path)
-    assert result.findings
-    assert {f.rule for f in result.findings} == {STALE_BASELINE_RULE}
-
-
-def test_corrupt_baseline_fails_loudly(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ValueError):
-        lint_paths([tmp_path], baseline=bad)
-
-
-def test_cli_write_baseline_then_gate(tmp_path, capsys):
-    root = make_tree(tmp_path, {"repro/parallel/shard.py": DRIFTED_SHARD})
-    baseline_path = tmp_path / "baseline.json"
-    assert (
-        lint_main(
-            [str(root), "--deep", "--baseline", str(baseline_path), "--write-baseline"]
-        )
-        == 0
-    )
-    assert "wrote" in capsys.readouterr().out
-    assert lint_main([str(root), "--deep", "--baseline", str(baseline_path)]) == 0
-    capsys.readouterr()
-    assert lint_main(["--write-baseline"]) == 2  # requires --baseline PATH
-    assert "--baseline" in capsys.readouterr().out
-
-
-# ---------------------------------------------------------------------------
-# --fix-unused
-
-
-def test_fix_unused_dry_run_leaves_files_untouched(tmp_path, capsys):
-    root = make_tree(
-        tmp_path,
-        {
-            "repro/sim/supp.py": (
-                "import math  # repro: allow[DET002] stale allowance\n"
-                "x = math.sqrt(2.0)\n"
-            ),
-        },
-    )
-    target = root / "repro" / "sim" / "supp.py"
-    before = target.read_text(encoding="utf-8")
-    assert lint_main([str(root), "--fix-unused"]) == 0
-    out = capsys.readouterr().out
-    assert "dry run" in out and "allow[DET002]" in out
-    assert target.read_text(encoding="utf-8") == before
-
-
-def test_fix_unused_apply_rewrites_and_cleans(tmp_path, capsys):
-    root = make_tree(
-        tmp_path,
-        {
-            "repro/sim/supp.py": (
-                "import math  # repro: allow[DET002] stale allowance\n"
-                "x = math.sqrt(2.0)\n"
-            ),
-        },
-    )
-    target = root / "repro" / "sim" / "supp.py"
-    assert lint_main([str(root), "--fix-unused", "--apply"]) == 0
-    assert "rewrote" in capsys.readouterr().out
-    assert "allow[" not in target.read_text(encoding="utf-8")
-    assert lint_paths([root]).ok
-
-
-def test_fix_unused_partial_removal_keeps_live_rule(tmp_path):
-    root = make_tree(
-        tmp_path,
-        {
-            "repro/sim/supp.py": (
-                "import random\n"
-                "def build():\n"
-                "    return random.Random(42)"
-                "  # repro: allow[DET006,DET002] fixture\n"
-            ),
-        },
-    )
-    target = root / "repro" / "sim" / "supp.py"
-    findings = lint_paths([root]).findings
-    plans = plan_fixes(findings)
-    assert len(plans) == 1 and plans[0].removed == ("DET002",)
-    assert apply_fixes(plans) == 1
-    text = target.read_text(encoding="utf-8")
-    assert "allow[DET006] fixture" in text  # live rule + rationale survive
-    assert lint_paths([root]).ok
-
-
-def test_fix_unused_skips_changed_lines(tmp_path):
-    root = make_tree(
-        tmp_path,
-        {
-            "repro/sim/supp.py": (
-                "import math  # repro: allow[DET002] stale\n"
-            ),
-        },
-    )
-    target = root / "repro" / "sim" / "supp.py"
-    plans = plan_fixes(lint_paths([root]).findings)
-    target.write_text("import math\n", encoding="utf-8")  # file moved on
-    assert apply_fixes(plans) == 0
-    assert target.read_text(encoding="utf-8") == "import math\n"
 
 
 # ---------------------------------------------------------------------------

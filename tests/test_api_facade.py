@@ -1,9 +1,7 @@
 """Tests for the unified experiment facade (:mod:`repro.api`).
 
-Pins the redesign's contract: the facade is the one executor, the three
-legacy entry points (``run_campaign``, ``CampaignSpec.run``,
-``run_campaign_sweep``) are deprecation shims that forward to it with
-byte-identical results, and the config surface is keyword-only.
+Pins the redesign's contract: the facade is the one executor and the
+config surface is keyword-only.
 """
 
 import warnings
@@ -13,8 +11,7 @@ import pytest
 import repro
 from repro import api
 from repro.api import ExperimentConfig
-from repro.core.campaign import CampaignSpec, run_campaign
-from repro.parallel import run_campaign_sweep
+from repro.core.campaign import CampaignSpec
 from repro.recovery.masking import MaskingPolicy
 
 HOURS = 3600.0
@@ -101,33 +98,3 @@ class TestFacadeExecution:
             api.run(duration=DURATION, seed=SEED)
             api.sweep(1, duration=DURATION, seed=SEED)
             ExperimentConfig(duration=DURATION, seed=SEED).run()
-
-
-class TestDeprecationShims:
-    def test_run_campaign_warns_and_matches_facade(self, facade_result):
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            legacy = run_campaign(duration=DURATION, seed=SEED)
-        assert (
-            legacy.repository.to_payload()
-            == facade_result.repository.to_payload()
-        )
-
-    def test_campaign_spec_run_warns_and_matches_facade(self, facade_result):
-        spec = CampaignSpec(duration=DURATION, seed=SEED)
-        with pytest.warns(DeprecationWarning, match="ExperimentConfig"):
-            legacy = spec.run()
-        assert (
-            legacy.repository.to_payload()
-            == facade_result.repository.to_payload()
-        )
-
-    def test_run_campaign_sweep_warns_and_matches_facade(self):
-        spec = CampaignSpec(duration=DURATION, seed=SEED)
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            legacy = run_campaign_sweep(2, jobs=1, spec=spec)
-        facade = ExperimentConfig.from_spec(spec).sweep(2, jobs=1)
-        assert legacy.render() == facade.render()
-
-    def test_top_level_export_is_the_shim(self):
-        with pytest.warns(DeprecationWarning):
-            repro.run_campaign(duration=DURATION, seed=SEED)

@@ -9,9 +9,13 @@ entry points are importable from the top level.
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 
 import repro
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PACKAGES = [
     "repro",
@@ -101,7 +105,6 @@ class TestExports:
 
     def test_top_level_api(self):
         for name in (
-            "run_campaign",
             "build_relationship_table",
             "build_sira_table",
             "build_dependability_report",
@@ -114,3 +117,11 @@ class TestExports:
 
     def test_version_string(self):
         assert repro.__version__.count(".") == 2
+        # One version string: the package must report the version it
+        # is published under.  Read with a regex, not tomllib (py3.9).
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        project = re.search(r"^\[project\]$(.*?)^\[", pyproject, re.M | re.S)
+        assert project is not None, "pyproject.toml has no [project] table"
+        declared = re.search(r'^version\s*=\s*"([^"]+)"', project.group(1), re.M)
+        assert declared is not None, "[project] declares no version"
+        assert repro.__version__ == declared.group(1)

@@ -1,5 +1,6 @@
 """Tests for repository persistence and the command-line interface."""
 
+import pytest
 
 from repro.cli import infer_node_nap_pairs, main
 from repro.collection.records import SystemLogRecord, TestLogRecord
@@ -53,6 +54,10 @@ class TestPersistence:
         assert (target / "test_records.jsonl").exists()
         assert (target / "system_records.jsonl").exists()
 
+    def test_flush_without_binding_rejected(self):
+        with pytest.raises(ValueError):
+            CentralRepository().flush()
+
 
 class TestInferPairs:
     def test_nap_is_the_node_without_user_reports(self):
@@ -68,7 +73,7 @@ class TestCli:
     def test_campaign_command_dumps_and_prints(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main([
-            "campaign", "--hours", "2", "--seed", "3", "--out", str(out)
+            "run", "--hours", "2", "--seed", "3", "--out", str(out)
         ])
         assert code == 0
         assert (out / "test_records.jsonl").exists()
@@ -79,7 +84,7 @@ class TestCli:
 
     def test_analyze_command_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "run"
-        assert main(["campaign", "--hours", "2", "--seed", "4",
+        assert main(["run", "--hours", "2", "--seed", "4",
                      "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["analyze", str(out)]) == 0
@@ -93,7 +98,7 @@ class TestCli:
     def test_masking_flag(self, tmp_path, capsys):
         out = tmp_path / "masked"
         code = main([
-            "campaign", "--hours", "3", "--seed", "5", "--masking",
+            "run", "--hours", "3", "--seed", "5", "--masking",
             "--out", str(out)
         ])
         assert code == 0

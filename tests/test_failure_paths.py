@@ -18,7 +18,7 @@ from repro.core.failure_model import SystemFailureType, UserFailureType
 from repro.faults.calibration import Origin
 from repro.faults.injector import FaultActivation
 from repro.recovery.masking import MaskingPolicy
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 from repro.workload.bluetest import BlueTestClient
 from repro.workload.traffic import CycleParams, RandomWorkload
 
@@ -141,33 +141,59 @@ class TestForcedOperationFailures:
         assert any(m.startswith("sdp:") and "(peer Verde)" in m for m in nap)
 
 
+class ScriptedCycles(RandomWorkload):
+    """Random-WL model that hands out scripted cycles, then stops the client.
+
+    ``next_cycle`` returns ``cycles`` in order; once they run out it
+    raises :class:`Interrupt`, which ends the client's 24/7 run loop
+    without failing the simulation.
+    """
+
+    def __init__(self, cycles):
+        super().__init__()
+        self._cycles = list(cycles)
+
+    def next_cycle(self, rng):
+        if not self._cycles:
+            raise Interrupt("script exhausted")
+        return self._cycles.pop(0)
+
+
+def cycle_params(scan=True, sdp=True):
+    from repro.bluetooth.packets import PacketType
+
+    return CycleParams(
+        scan_flag=scan, sdp_flag=sdp, packet_type=PacketType.DH5,
+        n_logical=5, send_size=200, recv_size=200, idle_time=0.0,
+        application="random",
+    )
+
+
+def run_client(sim, client):
+    """Run ``client`` through its scripted cycles and drain the simulator."""
+    proc = client.start()
+    sim.run()
+    assert isinstance(proc.exception, Interrupt), proc.exception
+
+
 class TestClientFailureHandling:
-    def make_client(self, operation, failure, scope=2):
+    def make_client(self, operation, failure, scope=2, cycles=1):
         sim = Simulator()
         stack = scripted_stack(sim, operation, failure, scope=scope)
         test_log = TestLog("random:Verde")
         client = BlueTestClient(
-            sim, stack, test_log, RandomWorkload(),
+            sim, stack, test_log, ScriptedCycles([cycle_params()] * cycles),
             random.Random(5), masking=MaskingPolicy.all_off(),
             distance=0.5, testbed_name="random",
         )
         return sim, client, test_log
-
-    def cycle_params(self, scan=True, sdp=True):
-        from repro.bluetooth.packets import PacketType
-
-        return CycleParams(
-            scan_flag=scan, sdp_flag=sdp, packet_type=PacketType.DH5,
-            n_logical=5, send_size=200, recv_size=200, idle_time=0.0,
-            application="random",
-        )
 
     @pytest.mark.parametrize("operation,failure,error_cls", OPERATION_CASES)
     def test_cycle_records_failure_with_correct_phase(
         self, operation, failure, error_cls
     ):
         sim, client, test_log = self.make_client(operation, failure, scope=2)
-        drive(sim, client.run_cycle(self.cycle_params()))
+        run_client(sim, client)
         records = list(test_log.records())
         assert len(records) == 1
         record = records[0]
@@ -180,7 +206,7 @@ class TestClientFailureHandling:
         sim, client, _ = self.make_client(
             "sdp_search", UserFailureType.SDP_SEARCH_FAILED, scope=3
         )
-        drive(sim, client.run_cycle(self.cycle_params()))
+        run_client(sim, client)
         # Scope 3 walks levels 1..3; level 3 resets the BT stack.
         assert client.stack.stack_resets == 1
 
@@ -188,7 +214,7 @@ class TestClientFailureHandling:
         sim, client, _ = self.make_client(
             "sdp_search", UserFailureType.SDP_SEARCH_FAILED, scope=6
         )
-        drive(sim, client.run_cycle(self.cycle_params()))
+        run_client(sim, client)
         assert client.stack.host.reboots == 1
         boot_lines = [
             r for r in client.stack.system_log.records()
@@ -198,11 +224,10 @@ class TestClientFailureHandling:
 
     def test_cycle_continues_after_failure(self):
         sim, client, _ = self.make_client(
-            "l2cap_connect", UserFailureType.CONNECT_FAILED, scope=2
+            "l2cap_connect", UserFailureType.CONNECT_FAILED, scope=2, cycles=2
         )
-        drive(sim, client.run_cycle(self.cycle_params()))
         # The scripted injector fails once; the next cycle succeeds.
-        drive(sim, client.run_cycle(self.cycle_params()))
+        run_client(sim, client)
         assert client.stats.cycles == 2
         assert client.stats.failures == 1
 
@@ -213,7 +238,7 @@ class TestClientFailureHandling:
         )
         test_log = TestLog("random:Verde")
         client = BlueTestClient(
-            sim, stack, test_log, RandomWorkload(), random.Random(0),
+            sim, stack, test_log, ScriptedCycles([cycle_params()]), random.Random(0),
             masking=MaskingPolicy(retry=True), distance=0.5,
             testbed_name="random",
         )
@@ -223,7 +248,7 @@ class TestClientFailureHandling:
                 return 0.0  # below any positive effectiveness
 
         client.retry_masker._rng = AlwaysMasks()
-        drive(sim, client.run_cycle(self.cycle_params()))
+        run_client(sim, client)
         records = list(test_log.records())
         assert len(records) == 1
         assert records[0].masked

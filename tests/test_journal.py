@@ -385,10 +385,15 @@ class TestRenderers:
         events = lifecycle() + [
             ev(SHARD_STALLED, ts=40.0, seed=11, wall={"silent_for": 38.0}),
             ev(SHARD_REQUEUED, ts=41.0, seed=11, wall={"attempt": 2}),
+            ev(SHARD_STALLED, ts=42.0, seed=12, wall={"cause": "worker_exit"}),
         ]
         report = render_report(events)
-        assert "incidents (2)" in report
+        assert "incidents (3)" in report
         assert "shard_stalled" in report and "shard_requeued" in report
+        assert "silent 38.0s" in report
+        # A lost worker's stall carries its cause, not a silence.
+        assert "cause worker_exit" in report
+        assert "silent ?s" not in report
 
     def test_openmetrics_exposition(self):
         monitor = SweepMonitor().feed(lifecycle())

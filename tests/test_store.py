@@ -266,50 +266,6 @@ class TestSQLiteRoundTrip:
             SQLiteStore.open(path)
 
 
-# -- deprecation shims --------------------------------------------------------
-
-
-class TestDeprecationShims:
-    def repo(self):
-        repo = CentralRepository()
-        repo.ingest_test([
-            TestLogRecord(time=1.0, node="random:a", testbed="random",
-                          workload="random", message="m", phase="p"),
-        ])
-        repo.ingest_system([
-            SystemLogRecord(2.0, "random:b", "hcid", "error", "x"),
-        ])
-        return repo
-
-    def test_test_records_shim_warns_and_matches(self):
-        repo = self.repo()
-        with pytest.warns(DeprecationWarning, match="iter_records"):
-            legacy = repo.test_records()
-        assert legacy == list(repo.iter_records(kind="test"))
-
-    def test_system_records_shim_warns_and_matches(self):
-        repo = self.repo()
-        with pytest.warns(DeprecationWarning, match="iter_records"):
-            legacy = repo.system_records()
-        assert legacy == list(repo.iter_records(kind="system"))
-
-    def test_dump_shim_warns_and_flushes(self, tmp_path):
-        repo = self.repo()
-        with pytest.warns(DeprecationWarning, match="flush"):
-            repo.dump(tmp_path / "legacy")
-        assert (tmp_path / "legacy" / "test_records.jsonl").exists()
-
-    def test_load_shim_warns_and_opens(self, tmp_path):
-        self.repo().flush(tmp_path)
-        with pytest.warns(DeprecationWarning, match="CentralRepository.open"):
-            loaded = CentralRepository.load(tmp_path)
-        assert loaded.total_items == 2
-
-    def test_flush_without_binding_rejected(self):
-        with pytest.raises(ValueError):
-            CentralRepository().flush()
-
-
 # -- spill threading through api and sweep ------------------------------------
 
 
