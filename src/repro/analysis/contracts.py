@@ -22,11 +22,14 @@ graph:
   Consumer functions are expected to be focused deserialisers; reads of
   unrelated dicts inside them would count, which is exactly why the
   wire format lives in dedicated ``from_payload``-style functions.
-  A *positional* contract (the SQLite store's tuple rows, which have
-  no keys) names a module-level column tuple instead, and each of the
-  following must follow it: the tuple the producer returns or yields,
-  element by element (``data["k"]``, or a one-argument call of it, names
-  column ``k``); the names the consumer unpacks the row into; the
+  A *positional* contract (the rows every record travels as, which
+  have no keys) names a module-level column tuple instead, and each of
+  the following must follow it: the row the producer returns or yields,
+  element by element (``record.k``, ``data["k"]``, or a one-argument
+  call of either, names column ``k``); the names the consumer and any
+  further *readers* unpack the row into (``_`` skips a column), and
+  each module's ``(A, B, ...) = range(len(<column tuple>))`` row
+  positions, case aside; the
   table's columns in the module's ``_SCHEMA`` (the ``INTEGER PRIMARY
   KEY`` rowid aside); and the record class's fields, which the
   consumer's record call must also pass in field order.  Columns the
@@ -57,7 +60,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .config import LintConfig
 from .findings import Finding
@@ -102,8 +105,10 @@ class ContractSpec:
     table: Optional[str] = None
     #: ... the record class whose fields it carries ...
     record: Optional[str] = None
-    #: ... and the columns that are no record field.
+    #: ... the columns that are no record field ...
     derived: Tuple[str, ...] = ()
+    #: ... and further functions that unpack the row (fold sinks).
+    readers: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,10 @@ DEFAULT_CONTRACTS: Tuple[ContractSpec, ...] = (
         producer="repro.parallel.cache.ShardCache.put",
         consumer="repro.parallel.cache.ShardCache.get",
     ),
+    # The record layout of the shard payload, cache entry, worker reply,
+    # CentralRepository, SQLite store and Table 1-4 fold alike.
     ContractSpec(
-        name="store-test-row",
+        name="test-row",
         producer="repro.collection.store._test_row",
         consumer="repro.collection.store._test_record",
         columns="repro.collection.store._TEST_COLUMNS",
@@ -154,13 +161,17 @@ DEFAULT_CONTRACTS: Tuple[ContractSpec, ...] = (
         record="repro.collection.records.TestLogRecord",
     ),
     ContractSpec(
-        name="store-system-row",
-        producer="repro.collection.store._system_rows",
+        name="system-row",
+        producer="repro.collection.store._system_row",
         consumer="repro.collection.store._system_record",
         columns="repro.collection.store._SYSTEM_COLUMNS",
         table="system_records",
         record="repro.collection.records.SystemLogRecord",
         derived=("testbed",),
+        readers=(
+            "repro.core.classification.MessageClassifier.system",
+            "repro.core.relationship.RelationshipMiner.add_system",
+        ),
     ),
     ContractSpec(
         name="store-meta",
@@ -290,8 +301,9 @@ _Problem = Tuple[int, int, str]
 def _slot_name(node: ast.expr) -> Optional[str]:
     """The column an element of a positional row names, if it names one.
 
-    ``data["k"]`` and a bare ``k`` name ``k``; a one-argument call
-    (``int(data["k"])``, ``bool(k)``) names what its argument names.
+    ``data["k"]``, ``record.k`` and a bare ``k`` or ``K`` name ``k``; a
+    one-argument call (``int(record.k)``, ``bool(k)``) names what its
+    argument names.
     """
     if (
         isinstance(node, ast.Subscript)
@@ -299,8 +311,10 @@ def _slot_name(node: ast.expr) -> Optional[str]:
         and isinstance(node.slice.value, str)
     ):
         return node.slice.value
+    if isinstance(node, ast.Attribute):
+        return node.attr
     if isinstance(node, ast.Name):
-        return node.id
+        return node.id.lower()
     if isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords:
         return _slot_name(node.args[0])
     return None
@@ -310,11 +324,11 @@ def _slot(node: ast.expr) -> _Slot:
     return _slot_name(node), node.lineno, node.col_offset + 1
 
 
-def _produced_row(fn_node: ast.AST) -> Optional[ast.Tuple]:
-    """The tuple literal a positional producer returns or yields."""
+def _produced_row(fn_node: ast.AST) -> Optional[Union[ast.Tuple, ast.List]]:
+    """The tuple or list literal a positional producer returns or yields."""
     for node in ast.walk(fn_node):
         if isinstance(node, (ast.Return, ast.Yield)) and isinstance(
-            node.value, ast.Tuple
+            node.value, (ast.Tuple, ast.List)
         ):
             return node.value
     return None
@@ -330,6 +344,21 @@ def _unpacked_row(fn_node: ast.AST) -> Optional[ast.Tuple]:
         ):
             return node.targets[0]
     return None
+
+
+def _position_names(tree: ast.Module, tuple_name: str) -> List[ast.Tuple]:
+    """Module-level ``(A, B, ...) = range(len(tuple_name))`` targets: the
+    row positions readers index a row by (``row[MASKED]``)."""
+    assigns = [node for node in tree.body if isinstance(node, ast.Assign)]
+    return [
+        target
+        for node in assigns
+        for target in node.targets[:1]
+        if isinstance(target, ast.Tuple)
+        and isinstance(node.value, ast.Call)
+        and dotted_name(node.value.func) == "range"
+        and any(isinstance(n, ast.Name) and n.id == tuple_name for n in ast.walk(node.value))
+    ]
 
 
 def _called(fn_node: ast.AST, name: str) -> Optional[ast.Call]:
@@ -394,7 +423,7 @@ def _class_fields(tree: ast.Module, name: str) -> Optional[List[str]]:
 
 
 def _row_drift(
-    row: ast.Tuple, columns: Sequence[str], derived: Sequence[str]
+    row: Union[ast.Tuple, ast.List], columns: Sequence[str], derived: Sequence[str]
 ) -> List[_Problem]:
     """Elements of a positional row out of step with its column tuple."""
     slots = list(map(_slot, row.elts))
@@ -417,7 +446,7 @@ def _row_drift(
     return [
         (line, col, f"{name!r} stands where column {column!r} belongs")
         for (name, line, col), column in zip(slots, columns)
-        if column not in derived and name is not None and name != column
+        if column not in derived and name not in (None, "_", column)
     ]
 
 
@@ -644,13 +673,22 @@ class WireContractPass(DeepPass):
             [(producer.line, 1, "no tuple row is returned or yielded")] if row is None
             else _row_drift(row, columns, contract.derived),
         ))
-        target = _unpacked_row(consumer.node)
-        checked.append((
-            consumer.path,
-            f"the row read by {contract.consumer}",
-            [(consumer.line, 1, "the row is never unpacked")] if target is None
-            else _row_drift(target, columns, contract.derived),
-        ))
+        for reader in (consumer, *filter(None, map(graph.functions.get, contract.readers))):
+            target = _unpacked_row(reader.node) if reader.node is not None else None
+            checked.append((
+                reader.path,
+                f"the row read by {reader.qname}",
+                [(reader.line, 1, "the row is never unpacked")] if target is None
+                else _row_drift(target, columns, contract.derived),
+            ))
+        for key in sorted(graph.modules):
+            other = graph.modules[key]
+            for names in _position_names(other.tree, tuple_name):
+                checked.append((
+                    other.path,
+                    f"the row positions {other.key} names",
+                    _row_drift(names, columns, contract.derived),
+                ))
 
         ddl, schema_line = _module_literal(module.tree, SCHEMA_CONSTANT)
         table = _table_columns(ddl, contract.table or "") if isinstance(ddl, str) else None

@@ -4,16 +4,14 @@ On each BT node both user-level and system-level failure data are stored
 in two files (paper §3): the *Test Log*, containing user-level failure
 reports, and the *System Log*, containing the error information
 registered by applications and system daemons.  Here both are
-append-only in-memory sequences with optional JSONL persistence, plus a
-cursor API used by the LogAnalyzer daemon to extract "what's new since
-my last visit".
+append-only in-memory sequences with a cursor API used by the
+LogAnalyzer daemon to extract "what's new since my last visit"; the
+central repository persists what it ships.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from pathlib import Path
 from typing import Generic, List, Optional, Sequence, TypeVar
 
 from repro.core.failure_model import SystemFailureType
@@ -57,22 +55,6 @@ class AppendOnlyLog(Generic[RecordT]):
 
 class TestLog(AppendOnlyLog[TestLogRecord]):
     """User-level failure reports written by the BlueTest workload."""
-
-    def dump_jsonl(self, path: Path) -> None:
-        """Persist all reports as JSON lines."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self._records:
-                handle.write(json.dumps(record.to_dict()) + "\n")
-
-    @classmethod
-    def load_jsonl(cls, node: str, path: Path) -> "TestLog":
-        log = cls(node)
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    log.append(TestLogRecord.from_dict(json.loads(line)))
-        return log
 
 
 class SystemLog(AppendOnlyLog[SystemLogRecord]):
@@ -150,21 +132,6 @@ class SystemLog(AppendOnlyLog[SystemLogRecord]):
         )
         self.append(record)
         return record
-
-    def dump_jsonl(self, path: Path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self._records:
-                handle.write(json.dumps(record.to_dict()) + "\n")
-
-    @classmethod
-    def load_jsonl(cls, node: str, path: Path) -> "SystemLog":
-        log = cls(node)
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    log.append(SystemLogRecord.from_dict(json.loads(line)))
-        return log
 
 
 __all__ = ["AppendOnlyLog", "TestLog", "SystemLog"]

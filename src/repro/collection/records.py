@@ -21,18 +21,16 @@ interned so equality checks inside the analysis pipeline reduce to
 pointer comparisons, and ``TestLogRecord.recovery`` is stored as a
 tuple (accepting any sequence at construction).
 
-Every record crosses several boundaries as plain data (shard payload,
-cache entry, JSONL repository, SQLite row), so each class carries an
-explicit, reflection-free codec.  ``to_dict`` is a dict literal in
-field order; ``dataclasses.asdict``, which it replaces with the same
-output, recurses and ``deepcopy``s every field at 20 to 35 times the
-cost.  ``from_dict`` takes a fast path when the keys are exactly the
-schema's; otherwise :func:`_known_fields` drops unknown keys, by the
-same rule for records and for their recovery attempts.  Adding a field
-to a record therefore means updating ``to_dict``, ``from_dict`` and the
-columnar row pair in :mod:`repro.collection.store`;
-``tests/test_record_codec.py`` checks the codec against an ``asdict``
-reference and fails on a missed field.
+Inside the pipeline a record travels as a row
+(:mod:`repro.collection.store`); records are built at the API edges,
+where the JSONL repository and ``repro-bt query`` use an explicit,
+reflection-free codec: ``to_dict`` is a dict literal in field order
+(``dataclasses.asdict`` gives the same output at 20 to 35 times the
+cost), and ``from_dict`` drops unknown keys (:func:`_known_fields`)
+for records and attempts alike.  Adding a field means updating
+``to_dict``, ``from_dict``, the column tuple and the row pair in
+:mod:`repro.collection.store`; the deep lint (WIRE001) and
+``tests/test_record_codec.py`` fail on a missed one.
 """
 
 from __future__ import annotations
@@ -142,8 +140,8 @@ class RecoveryAttempt:
     def from_dict(cls, data: Dict[str, Any]) -> "RecoveryAttempt":
         """Rebuild an attempt from :meth:`to_dict` data (unknown keys dropped).
 
-        The one decoder for attempts, shared by record payloads and the
-        columnar store's ``recovery`` column.
+        The one decoder for attempts, shared by JSONL records and the
+        rows' ``recovery`` column.
         """
         if data.keys() != cls._FIELDS:
             data = _known_fields(cls, data)

@@ -9,10 +9,11 @@ record kind, and reports the same headline counters the paper does
 Since the storage-layer redesign this class is one of two conforming
 :class:`repro.collection.store.FailureStore` backends — the in-memory
 oracle, with :class:`repro.collection.store.SQLiteStore` as the
-out-of-core columnar twin.  Both stream records through the
-keyword-only :meth:`iter_records` surface in the same order
-(time-sorted, ingestion-stable ties), which is what makes Table 1–4
-byte-identical across backends.
+out-of-core columnar twin.  Both hold records as the store's rows and
+stream them through :meth:`iter_rows` (undecoded, for the Table 1–4
+fold) and the keyword-only :meth:`iter_records` surface in the same
+order (time-sorted, ingestion-stable ties), which is what makes
+Table 1–4 byte-identical across backends.
 """
 
 from __future__ import annotations
@@ -23,15 +24,17 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from .records import SystemLogRecord, TestLogRecord
-from .store import atomic_writer, testbed_of
+from .store import _TIME, NODE, TESTBED, Row, atomic_writer, check_rows
+from .store import _system_record, _system_row, _test_record, _test_row
 
 
 class CentralRepository:
-    """Accumulates failure data items from every node of every testbed."""
+    """Accumulates failure data items from every node of every testbed,
+    as rows encoded once on ingestion and decoded by the record methods."""
 
     def __init__(self) -> None:
-        self._test: List[TestLogRecord] = []
-        self._system: List[SystemLogRecord] = []
+        self._test: List[Row] = []
+        self._system: List[Row] = []
         self._sorted = True
         # Cached bisect key arrays, rebuilt together with the sort (so
         # repeated windowed queries stop paying an O(n) list build each).
@@ -44,36 +47,36 @@ class CentralRepository:
 
     def ingest_test(self, records: Iterable[TestLogRecord]) -> int:
         """Store user-level reports; returns the number ingested."""
-        before = len(self._test)
-        self._test.extend(records)
-        self._sorted = False
-        return len(self._test) - before
+        return self._extend(self._test, map(_test_row, records))
 
     def ingest_system(self, records: Iterable[SystemLogRecord]) -> int:
         """Store system-level entries; returns the number ingested."""
-        before = len(self._system)
-        self._system.extend(records)
+        return self._extend(self._system, map(_system_row, records))
+
+    def _extend(self, rows: List[Row], new: Iterable[Row]) -> int:
+        before = len(rows)
+        rows.extend(new)
         self._sorted = False
-        return len(self._system) - before
+        return len(rows) - before
 
     def merge(self, other: "CentralRepository") -> "CentralRepository":
         """Ingest every record of ``other`` into this repository.
 
         The shard-merge primitive of :mod:`repro.parallel`: each sweep
-        worker ships its repository back as plain records, and the
-        aggregate repository is the union.  Returns ``self`` so merges
-        chain.
+        worker ships its repository back as rows, and the aggregate
+        repository is the union — a list extend per record kind.
+        Returns ``self`` so merges chain.
         """
-        self.ingest_test(other._test)
-        self.ingest_system(other._system)
+        self._extend(self._test, other._test)
+        self._extend(self._system, other._system)
         return self
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
-            self._test.sort(key=lambda r: r.time)
-            self._system.sort(key=lambda r: r.time)
-            self._test_times = [r.time for r in self._test]
-            self._system_times = [r.time for r in self._system]
+            self._test.sort(key=_TIME)
+            self._system.sort(key=_TIME)
+            self._test_times = list(map(_TIME, self._test))
+            self._system_times = list(map(_TIME, self._system))
             self._sorted = True
 
     # -- queries -----------------------------------------------------------
@@ -91,6 +94,20 @@ class CentralRepository:
         """Total failure data items collected (paper: 356,551)."""
         return len(self._test) + len(self._system)
 
+    def _rows(self, kind: str) -> List[Row]:
+        if kind == "test":
+            rows = self._test
+        elif kind == "system":
+            rows = self._system
+        else:
+            raise ValueError(f"unknown record kind {kind!r} (expected 'test' or 'system')")
+        self._ensure_sorted()
+        return rows
+
+    def iter_rows(self, *, kind: str) -> Iterator[Row]:
+        """Stream every row of ``kind`` undecoded, in :meth:`iter_records` order."""
+        return iter(self._rows(kind))
+
     def iter_records(
         self,
         *,
@@ -106,40 +123,24 @@ class CentralRepository:
         keyword-only filters (exact ``node``, exact ``testbed``,
         inclusive ``[start, end]`` window), records yielded time-ordered
         with ingestion-stable ties.  System records match ``testbed``
-        on their node's testbed prefix.
+        on their node's testbed prefix (their ``testbed`` column).
         """
-        if kind == "test":
-            self._ensure_sorted()
-            records: List = self._test
-            times = self._test_times
-        elif kind == "system":
-            self._ensure_sorted()
-            records = self._system
-            times = self._system_times
-        else:
-            raise ValueError(f"unknown record kind {kind!r} (expected 'test' or 'system')")
+        rows = self._rows(kind)
+        to_record = _test_record if kind == "test" else _system_record
+        times = self._test_times if kind == "test" else self._system_times
         lo = bisect_left(times, start) if start is not None else 0
-        hi = bisect_right(times, end) if end is not None else len(records)
-        if kind == "test":
-            for index in range(lo, hi):
-                record = records[index]
-                if node is not None and record.node != node:
-                    continue
-                if testbed is not None and record.testbed != testbed:
-                    continue
-                yield record
-        else:
-            for index in range(lo, hi):
-                record = records[index]
-                if node is not None and record.node != node:
-                    continue
-                if testbed is not None and testbed_of(record.node) != testbed:
-                    continue
-                yield record
+        hi = bisect_right(times, end) if end is not None else len(rows)
+        for index in range(lo, hi):
+            row = rows[index]
+            if node is not None and row[NODE] != node:
+                continue
+            if testbed is not None and row[TESTBED] != testbed:
+                continue
+            yield to_record(row)
 
     def nodes(self) -> List[str]:
         """All node names present in either record stream, sorted."""
-        names = {r.node for r in self._test} | {r.node for r in self._system}
+        names = {row[NODE] for row in self._test} | {row[NODE] for row in self._system}
         return sorted(names)
 
     def summary(self) -> Dict[str, int]:
@@ -152,28 +153,22 @@ class CentralRepository:
 
     # -- persistence ---------------------------------------------------------
 
-    def to_payload(self) -> Dict[str, List[dict]]:
-        """The whole repository as plain JSON-able data.
+    def to_payload(self) -> Dict[str, List[Row]]:
+        """The whole repository as JSON-able rows, time-ordered.
 
         Compact wire format for cross-process shipping (sweep shards)
         and checkpoint files; :meth:`from_payload` round-trips it.
         """
         self._ensure_sorted()
-        return {
-            "test": [r.to_dict() for r in self._test],
-            "system": [r.to_dict() for r in self._system],
-        }
+        return {"test": list(self._test), "system": list(self._system)}
 
     @classmethod
-    def from_payload(cls, payload: Dict[str, List[dict]]) -> "CentralRepository":
-        """Rebuild a repository from :meth:`to_payload` data."""
+    def from_payload(cls, payload: Dict[str, List[Row]]) -> "CentralRepository":
+        """Rebuild a repository from :meth:`to_payload` rows (``ValueError`` if they are not)."""
+        check_rows(payload)
         repo = cls()
-        repo.ingest_test(
-            [TestLogRecord.from_dict(d) for d in payload.get("test", [])]
-        )
-        repo.ingest_system(
-            [SystemLogRecord.from_dict(d) for d in payload.get("system", [])]
-        )
+        repo._extend(repo._test, payload["test"])
+        repo._extend(repo._system, payload["system"])
         return repo
 
     def flush(self, directory: Union[None, str, Path] = None) -> None:
@@ -195,11 +190,11 @@ class CentralRepository:
         self._ensure_sorted()
         self._path.mkdir(parents=True, exist_ok=True)
         with atomic_writer(self._path / "test_records.jsonl") as handle:
-            for record in self._test:
-                handle.write(json.dumps(record.to_dict()) + "\n")
+            for row in self._test:
+                handle.write(json.dumps(_test_record(row).to_dict()) + "\n")
         with atomic_writer(self._path / "system_records.jsonl") as handle:
-            for entry in self._system:
-                handle.write(json.dumps(entry.to_dict()) + "\n")
+            for row in self._system:
+                handle.write(json.dumps(_system_record(row).to_dict()) + "\n")
 
     @classmethod
     def open(cls, directory: Union[str, Path]) -> "CentralRepository":

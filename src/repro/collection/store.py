@@ -11,11 +11,12 @@ protocol with two conforming backends:
   table per record stream, typed columns, covering indexes) that lets
   Table 1–4 analyses stream over record sets far larger than RAM.
 
-Both backends honour the same iteration contract: ``iter_records``
-yields records ordered by ``time``, with ties broken by ingestion
-order.  The in-memory backend gets this from Python's stable sort; the
-SQLite backend from ``ORDER BY time, id`` over monotonically assigned
-rowids.  The shared streaming analysis code in :mod:`repro.core`
+Both backends hold records as rows (see *row wire format* below) and
+honour the same iteration contract: ``iter_rows`` and ``iter_records``
+yield rows and records ordered by ``time``, with ties broken by
+ingestion order.  The in-memory backend gets this from Python's stable
+sort; the SQLite backend from ``ORDER BY time, id`` over monotonically
+assigned rowids.  The shared streaming analysis code in :mod:`repro.core`
 therefore produces byte-identical tables over either backend.
 
 The on-disk format carries a :data:`STORE_VERSION` stamp validated on
@@ -41,6 +42,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -155,9 +157,9 @@ class FailureStore(Protocol):
     """What the analysis pipeline requires of a failure-record store.
 
     Keyword-only query surface, streaming iterators, headline
-    counters.  ``iter_records`` MUST yield records ordered by ``time``
-    with ingestion-stable ties — the byte-identity of Table 1–4 across
-    backends rests on that contract.
+    counters.  ``iter_rows`` and ``iter_records`` MUST yield rows and
+    records ordered by ``time`` with ingestion-stable ties — the
+    byte-identity of Table 1–4 across backends rests on that contract.
     """
 
     def ingest_test(self, records: Iterable[TestLogRecord]) -> int:
@@ -166,6 +168,11 @@ class FailureStore(Protocol):
 
     def ingest_system(self, records: Iterable[SystemLogRecord]) -> int:
         """Append system-level entries; returns the number ingested."""
+        ...
+
+    def iter_rows(self, *, kind: str) -> Iterator["Row"]:
+        """Stream every row of ``kind`` (``"test"`` / ``"system"``) undecoded,
+        in :meth:`iter_records` order: the cursor the Table 1-4 fold reads."""
         ...
 
     def iter_records(
@@ -213,12 +220,22 @@ class FailureStore(Protocol):
 
 # -- row wire format ---------------------------------------------------------
 #
-# A row is a tuple in the order of its table's column tuple, which also
-# generates the INSERT and the SELECT below.  The producer/consumer
-# pairs are module-level so repro.analysis.contracts can check, from the
-# AST, that both follow the column tuple position by position, that the
-# tuple names the _SCHEMA table's columns and the record's fields
-# (WIRE001), and the version stamp handshake (WIRE003).
+# A row is the one shape a record has inside the pipeline: its values in
+# the order of its table's column tuple, flags as 0/1 and the recovery
+# attempts as compact JSON text, exactly what SQLite stores.  Rows fill
+# CentralRepository, ride in shard payloads, cache entries and worker
+# replies, go into executemany unchanged and come back from the cursors
+# the Table 1-4 fold reads; records are built only at the API edges.
+# The column tuples also generate the INSERT and the SELECT below.  The
+# producer/consumer pairs are module-level so repro.analysis.contracts
+# can check, from the AST, that both follow the column tuple position by
+# position, that the tuple names the _SCHEMA table's columns and the
+# record's fields (WIRE001), and the version stamp handshake (WIRE003).
+
+#: One record as a row: a list when encoded here or decoded from JSON
+#: (so a payload equals its own round trip), a tuple when read from
+#: SQLite.  Rows are never mutated, so repositories and payloads share them.
+Row = Sequence[Any]
 
 #: Columns of ``test_records`` after ``id``: the :class:`TestLogRecord`
 #: fields in declaration order.
@@ -240,11 +257,11 @@ _SYSTEM_COLUMNS = ("time", "node", "testbed", "facility", "severity", "message")
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-#: Key order of :meth:`RecoveryAttempt.to_dict`.  An attempt dict in
-#: this order is encoded as given; any other shape is normalised first.
-_ATTEMPT_KEYS = ("action", "succeeded", "duration")
-
-_ATTEMPT_VALUES = itemgetter(*_ATTEMPT_KEYS)
+#: Row positions of the test columns, for readers that index a row by
+#: name.  WIRE001 checks the names against :data:`_TEST_COLUMNS`.
+(TIME, NODE, TESTBED, WORKLOAD, MESSAGE, PHASE, PACKET_TYPE, PACKETS_SENT,
+ PACKETS_EXPECTED, SCAN_FLAG, SDP_FLAG, DISTANCE, CYCLE_ON_CONNECTION,
+ IDLE_BEFORE_CYCLE, MASKED, RECOVERY) = range(len(_TEST_COLUMNS))
 
 #: Entries a ``recovery`` memo holds before it is cleared.  A campaign
 #: repeats a handful of attempt chains (17 distinct column texts in a
@@ -254,8 +271,11 @@ _ATTEMPT_VALUES = itemgetter(*_ATTEMPT_KEYS)
 #: values are immutable, so sharing cannot change a row or a record.
 _MEMO_LIMIT = 4096
 
+#: The attempts' ``(action, succeeded, duration)`` triples.
+_AttemptsKey = Tuple[Tuple[object, ...], ...]
+
 #: ``recovery`` column text by the attempts' value triples.
-_RECOVERY_TEXTS: Dict[Tuple[Tuple[object, ...], ...], str] = {}
+_RECOVERY_TEXTS: Dict[_AttemptsKey, str] = {}
 
 #: Decoded attempts by ``recovery`` column text.
 _RECOVERY_ATTEMPTS: Dict[str, Tuple[RecoveryAttempt, ...]] = {}
@@ -269,44 +289,33 @@ def _remember(memo: Dict[Any, Any], key: Any, value: Any) -> Any:
     return value
 
 
-def _recovery_key(attempts: List[Dict[str, Any]]) -> Optional[Tuple[Tuple[object, ...], ...]]:
+def _recovery_key(attempts: Tuple[RecoveryAttempt, ...]) -> Optional[_AttemptsKey]:
     """The attempts' ``(action, succeeded, duration)`` triples, as a memo key.
 
-    The triples fix the column text: unknown keys are dropped and the
-    keys put in field order on encode.  ``None`` (not memoised) when a
-    key is missing, or a value's JSON is not fixed by its equality:
-    ``True == 1``, ``2 == 2.0`` and ``0.0 == -0.0`` as dict keys but not
-    as JSON, so only a ``str``, a ``bool`` and a non-zero ``float``
-    qualify.
+    ``None`` (not memoised) when a value's JSON is not fixed by its
+    equality: ``True == 1``, ``2 == 2.0`` and ``0.0 == -0.0`` as dict
+    keys but not as JSON, so only a ``str``, a ``bool`` and a non-zero
+    ``float`` qualify.
     """
     key = []
     for attempt in attempts:
-        try:
-            triple = _ATTEMPT_VALUES(attempt)
-        except KeyError:
-            return None
-        action, succeeded, duration = triple
+        action, succeeded, duration = attempt.action, attempt.succeeded, attempt.duration
         if type(action) is not str or type(succeeded) is not bool:
             return None
         if type(duration) is not float or not duration:
             return None
-        key.append(triple)
+        key.append((action, succeeded, duration))
     return tuple(key)
 
 
-def _recovery_column(attempts: List[Dict[str, Any]]) -> str:
-    """The ``recovery`` column: compact JSON of the attempt dicts, memoised."""
+def _recovery_column(attempts: Tuple[RecoveryAttempt, ...]) -> str:
+    """The ``recovery`` column: compact JSON of the attempts, memoised."""
     if not attempts:
         return "[]"
     key = _recovery_key(attempts)
     text = _RECOVERY_TEXTS.get(key) if key is not None else None
     if text is None:
-        text = _COMPACT_JSON.encode([
-            attempt
-            if tuple(attempt) == _ATTEMPT_KEYS
-            else RecoveryAttempt.from_dict(attempt).to_dict()
-            for attempt in attempts
-        ])
+        text = _COMPACT_JSON.encode([attempt.to_dict() for attempt in attempts])
         if key is not None:
             _remember(_RECOVERY_TEXTS, key, text)
     return text
@@ -328,39 +337,19 @@ def _recovery_attempts(text: str) -> Tuple[RecoveryAttempt, ...]:
     return attempts
 
 
-def _test_row(data: Dict[str, Any]) -> Tuple[object, ...]:
-    """Columnar row for one user-level report (writer side), in :data:`_TEST_COLUMNS` order.
-
-    ``data`` has the :meth:`TestLogRecord.to_dict` shape, whether it
-    comes from a live record or straight from a shard payload.  A dict
-    whose keys are not exactly the schema's goes through
-    :meth:`TestLogRecord.from_dict` first, so unknown keys are dropped
-    and missing defaulted keys filled, as on every other decode path.
-    """
-    if data.keys() != TestLogRecord._FIELDS:
-        data = TestLogRecord.from_dict(data).to_dict()
-    return (
-        data["time"],
-        data["node"],
-        data["testbed"],
-        data["workload"],
-        data["message"],
-        data["phase"],
-        data["packet_type"],
-        data["packets_sent"],
-        data["packets_expected"],
-        int(data["scan_flag"]),
-        int(data["sdp_flag"]),
-        data["distance"],
-        data["cycle_on_connection"],
-        data["idle_before_cycle"],
-        int(data["masked"]),
-        _recovery_column(data["recovery"]),
-    )
+def _test_row(record: TestLogRecord) -> List[object]:
+    """The row of one user-level report (writer side), in :data:`_TEST_COLUMNS` order."""
+    return [
+        record.time, record.node, record.testbed, record.workload, record.message,
+        record.phase, record.packet_type, record.packets_sent, record.packets_expected,
+        int(record.scan_flag), int(record.sdp_flag), record.distance,
+        record.cycle_on_connection, record.idle_before_cycle, int(record.masked),
+        _recovery_column(record.recovery),
+    ]
 
 
-def _test_record(row: Tuple[Any, ...]) -> TestLogRecord:
-    """Rebuild a user-level report from its columnar row (reader side)."""
+def _test_record(row: Row) -> TestLogRecord:
+    """Rebuild a user-level report from its row (reader side)."""
     (time, node, testbed, workload, message, phase, packet_type, packets_sent,
      packets_expected, scan_flag, sdp_flag, distance, cycle_on_connection,
      idle_before_cycle, masked, recovery) = row
@@ -372,28 +361,28 @@ def _test_record(row: Tuple[Any, ...]) -> TestLogRecord:
     )
 
 
-def _system_rows(entries: Iterable[Dict[str, Any]]) -> Iterator[Tuple[object, ...]]:
-    """Columnar rows for system-level entries (writer side), in :data:`_SYSTEM_COLUMNS` order.
-
-    Each entry has the :meth:`SystemLogRecord.to_dict` shape; any other
-    key set goes through :meth:`SystemLogRecord.from_dict` first.
-    """
-    for data in entries:
-        if data.keys() != SystemLogRecord._FIELDS:
-            data = SystemLogRecord.from_dict(data).to_dict()
-        node = data["node"]
-        yield (
-            data["time"],
-            node,
-            testbed_of(node),
-            data["facility"],
-            data["severity"],
-            data["message"],
-        )
+def _system_row(record: SystemLogRecord) -> List[object]:
+    """The row of one system-level entry (writer side), in :data:`_SYSTEM_COLUMNS` order."""
+    return [
+        record.time, record.node, testbed_of(record.node), record.facility,
+        record.severity, record.message,
+    ]
 
 
-def _system_record(row: Tuple[Any, ...]) -> SystemLogRecord:
-    """Rebuild a system-level entry from its columnar row (reader side)."""
+def check_rows(payload: Dict[str, List[Row]]) -> None:
+    """Raise ``ValueError`` unless every record of a repository payload is a
+    row, so a stale layout (``PAYLOAD_VERSION`` 3 held one dict per record)
+    is evicted and recomputed, never half-parsed."""
+    for kind, width in (("test", len(_TEST_COLUMNS)), ("system", len(_SYSTEM_COLUMNS))):
+        rows = payload[kind]
+        if type(rows) is not list or not all(
+            type(row) in (list, tuple) and len(row) == width for row in rows
+        ):
+            raise ValueError(f"repository payload {kind!r} records are not {width}-column rows")
+
+
+def _system_record(row: Row) -> SystemLogRecord:
+    """Rebuild a system-level entry from its row (reader side)."""
     time, node, _, facility, severity, message = row
     return SystemLogRecord(time, node, facility, severity, message)
 
@@ -474,11 +463,14 @@ def _insert_statement(table: str, columns: Tuple[str, ...]) -> str:
 _INSERT_TEST = _insert_statement("test_records", _TEST_COLUMNS)
 _INSERT_SYSTEM = _insert_statement("system_records", _SYSTEM_COLUMNS)
 
-_SELECT_TEST = f"SELECT {', '.join(_TEST_COLUMNS)} FROM test_records"
-_SELECT_SYSTEM = f"SELECT {', '.join(_SYSTEM_COLUMNS)} FROM system_records"
+#: The ``SELECT`` of each record kind's columns, in column-tuple order.
+_SELECTS = {
+    "test": f"SELECT {', '.join(_TEST_COLUMNS)} FROM test_records",
+    "system": f"SELECT {', '.join(_SYSTEM_COLUMNS)} FROM system_records",
+}
 
-#: Sort key of record dicts: their ``time`` field.
-_TIME = itemgetter("time")
+#: Sort key of rows: their ``time`` column, first in both tables.
+_TIME = itemgetter(TIME)
 
 
 class SQLiteStore:
@@ -486,14 +478,14 @@ class SQLiteStore:
 
     One table per record stream with typed columns, covering indexes
     on ``(time)``, ``(node, time)`` and ``(testbed, time)``, streaming
-    ``executemany`` ingestion, and streaming ``fetchmany`` query
-    cursors — so a 1000-seed sweep's record stream can be ingested and
-    analysed shard-by-shard without ever materialising it in RAM.
-    Rows cross the SQLite boundary as plain tuples in the order of one
-    column tuple per table (``_TEST_COLUMNS``, ``_SYSTEM_COLUMNS``),
-    which also generates the ``INSERT`` and ``SELECT`` statements, and
-    the ``recovery`` column is encoded and decoded through small
-    bounded memos.
+    ``executemany`` ingestion, and streaming query cursors — so a
+    1000-seed sweep's record stream can be ingested and analysed
+    shard-by-shard without ever materialising it in RAM.  Rows cross
+    the SQLite boundary unchanged in both directions: the row format
+    above, in the order of one column tuple per table
+    (``_TEST_COLUMNS``, ``_SYSTEM_COLUMNS``), which also generates the
+    ``INSERT`` and ``SELECT`` statements.  :meth:`iter_rows` hands them
+    out undecoded; :meth:`iter_records` decodes them into records.
 
     Opening an existing file validates the :data:`STORE_VERSION` stamp
     (:class:`StoreVersionError` on skew, :class:`StoreError` when the
@@ -504,11 +496,6 @@ class SQLiteStore:
     pending rows on a clean exit and rolls them back when the block
     raises.
     """
-
-    #: Rows per ``fetchmany`` page: large enough to amortise the SQLite
-    #: call overhead, small enough that a page of rows stays far below
-    #: any campaign's record count.
-    BATCH = 2048
 
     def __init__(self, path: PathLike = ":memory:", *, indexes: bool = True) -> None:
         self.path: Optional[Path] = None if str(path) == ":memory:" else Path(path)
@@ -586,52 +573,48 @@ class SQLiteStore:
 
     def ingest_test(self, records: Iterable[TestLogRecord]) -> int:
         """Append user-level reports and commit; returns the number ingested."""
-        count = self._insert(
-            _INSERT_TEST, (_test_row(record.to_dict()) for record in records)
-        )
+        count = self._insert(_INSERT_TEST, map(_test_row, records))
         self._conn.commit()
         return count
 
     def ingest_system(self, records: Iterable[SystemLogRecord]) -> int:
         """Append system-level entries and commit; returns the number ingested."""
-        count = self._insert(
-            _INSERT_SYSTEM, _system_rows(record.to_dict() for record in records)
-        )
+        count = self._insert(_INSERT_SYSTEM, map(_system_row, records))
         self._conn.commit()
         return count
 
-    def ingest_payload(self, payload: Dict[str, List[dict]]) -> int:
-        """Append the records of a ``CentralRepository.to_payload`` document.
+    def ingest_payload(self, payload: Dict[str, List[Row]]) -> int:
+        """Append the rows of a ``CentralRepository.to_payload`` document.
 
-        Rows are built straight from the record dicts, with no record
-        objects in between, in the stable time order
-        :meth:`CentralRepository.from_payload` would iterate them (the
-        lists ``to_payload`` writes are already in that order, so the
-        sort is one linear pass).  Unlike :meth:`ingest_test` this does
-        not commit: the rows stay pending until :meth:`flush`, so
-        spilling many shards is one transaction.  Returns the number
-        of records ingested.
+        The rows go to ``executemany`` as they are, in the stable time
+        order :meth:`CentralRepository.from_payload` would iterate them
+        (the lists ``to_payload`` writes are already in that order, so
+        the sort is one linear pass).  Unlike :meth:`ingest_test` this
+        does not commit: the rows stay pending until :meth:`flush`, so
+        spilling many shards is one transaction.  Returns the number of
+        records ingested.
         """
-        count = self._insert(
-            _INSERT_TEST, map(_test_row, sorted(payload.get("test", ()), key=_TIME))
-        )
-        count += self._insert(
-            _INSERT_SYSTEM, _system_rows(sorted(payload.get("system", ()), key=_TIME))
-        )
+        count = self._insert(_INSERT_TEST, sorted(payload["test"], key=_TIME))
+        count += self._insert(_INSERT_SYSTEM, sorted(payload["system"], key=_TIME))
         return count
 
-    def _insert(self, statement: str, rows: Iterable[Tuple[object, ...]]) -> int:
+    def _insert(self, statement: str, rows: Iterable[Row]) -> int:
         # executemany pulls rows from the iterator one at a time, so the
         # record stream is never materialised.
         return self._conn.executemany(statement, rows).rowcount
 
     def ingest_store(self, source: "FailureStore") -> int:
-        """Append every record of another store; returns the number ingested."""
-        ingested = self.ingest_test(source.iter_records(kind="test"))
-        ingested += self.ingest_system(source.iter_records(kind="system"))
+        """Append every record of another store, row by row; returns the number ingested."""
+        ingested = self._insert(_INSERT_TEST, source.iter_rows(kind="test"))
+        ingested += self._insert(_INSERT_SYSTEM, source.iter_rows(kind="system"))
+        self._conn.commit()
         return ingested
 
     # -- queries -----------------------------------------------------------
+
+    def iter_rows(self, *, kind: str) -> Iterator[Row]:
+        """Stream every row of ``kind`` undecoded, in :meth:`iter_records` order."""
+        return self._select(kind, "", {})
 
     def iter_records(
         self,
@@ -642,36 +625,22 @@ class SQLiteStore:
         start: Optional[float] = None,
         end: Optional[float] = None,
     ) -> Iterator:
-        """Stream records time-ordered (ingestion-stable ties) via fetchmany pages."""
+        """Stream records time-ordered (ingestion-stable ties), decoded from rows."""
+        filters = {"node = :node": node, "testbed = :testbed": testbed,
+                   "time >= :start": start, "time <= :end": end}
+        clauses = [clause for clause, value in filters.items() if value is not None]
+        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
+        params = {"node": node, "testbed": testbed, "start": start, "end": end}
+        rows = self._select(kind, where, params)
         # The decoder is looked up on the module per query, so a
         # wrapper patched onto the module sees every decoded row.
-        if kind == "test":
-            select, to_record = _SELECT_TEST, _test_record
-        elif kind == "system":
-            select, to_record = _SELECT_SYSTEM, _system_record
-        else:
+        yield from map(_test_record if kind == "test" else _system_record, rows)
+
+    def _select(self, kind: str, where: str, params: Dict[str, Any]) -> Iterator[Row]:
+        """A cursor over the rows of ``kind`` matching ``where``, time-ordered."""
+        if kind not in _SELECTS:
             raise ValueError(f"unknown record kind {kind!r} (expected 'test' or 'system')")
-        clauses = []
-        params: Dict[str, object] = {}
-        if node is not None:
-            clauses.append("node = :node")
-            params["node"] = node
-        if testbed is not None:
-            clauses.append("testbed = :testbed")
-            params["testbed"] = testbed
-        if start is not None:
-            clauses.append("time >= :start")
-            params["start"] = start
-        if end is not None:
-            clauses.append("time <= :end")
-            params["end"] = end
-        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
-        cursor = self._conn.execute(f"{select}{where} ORDER BY time, id", params)
-        while True:
-            page = cursor.fetchmany(self.BATCH)
-            if not page:
-                return
-            yield from map(to_record, page)
+        return self._conn.execute(f"{_SELECTS[kind]}{where} ORDER BY time, id", params)
 
     def nodes(self) -> List[str]:
         """All node names present in either record stream, sorted.

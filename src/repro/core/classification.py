@@ -15,6 +15,7 @@ import re
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.collection.records import SystemLogRecord, TestLogRecord
+from repro.collection.store import MESSAGE, Row, _system_row, _test_row
 from .failure_model import SystemFailureType, UserFailureType
 
 #: Ordered (pattern, type) pairs: first match wins, so the more specific
@@ -111,7 +112,7 @@ def classify_system_record(record: SystemLogRecord) -> Optional[SystemFailureTyp
 
 
 class MessageClassifier:
-    """Classify records by message text, each distinct text once.
+    """Classify rows by message text, each distinct text once.
 
     A campaign repeats a small vocabulary of messages thousands of
     times, so one analysis pass keeps the verdict per text instead of
@@ -128,15 +129,16 @@ class MessageClassifier:
         self._user: Dict[str, Optional[UserFailureType]] = {}
         self._system: Dict[str, Optional[SystemFailureType]] = {}
 
-    def user(self, record: TestLogRecord) -> Optional[UserFailureType]:
-        """:func:`classify_user_record`, memoised on the message text."""
-        return self._lookup(self._user, record.message, classify_user_message)
+    def user(self, row: Row) -> Optional[UserFailureType]:
+        """:func:`classify_user_record` of a test row, memoised on the message text."""
+        return self._lookup(self._user, row[MESSAGE], classify_user_message)
 
-    def system(self, record: SystemLogRecord) -> Optional[SystemFailureType]:
-        """:func:`classify_system_record`, memoised on the message text."""
-        if record.severity != "error":
+    def system(self, row: Row) -> Optional[SystemFailureType]:
+        """:func:`classify_system_record` of a system row, memoised on the message text."""
+        _, _, _, _, severity, message = row
+        if severity != "error":
             return None
-        return self._lookup(self._system, record.message, classify_system_message)
+        return self._lookup(self._system, message, classify_system_message)
 
     def _lookup(self, memo: dict, text: str, classify: Callable[[str], object]):
         if text in memo:
@@ -148,21 +150,19 @@ class MessageClassifier:
 
 
 class ClassificationCounts:
-    """Classified/unclassified message counts, folded one record at a time."""
+    """Classified/unclassified message counts, folded one row at a time."""
 
     def __init__(self) -> None:
         self.user_total = self.user_classified = 0
         self.system_total = self.system_classified = 0
 
-    def add_test(self, record: TestLogRecord, user_type: Optional[UserFailureType]) -> None:
+    def add_test(self, row: Row, user_type: Optional[UserFailureType]) -> None:
         """Count one user report, classified when ``user_type`` is set."""
         self.user_total += 1
         if user_type is not None:
             self.user_classified += 1
 
-    def add_system(
-        self, record: SystemLogRecord, system_type: Optional[SystemFailureType]
-    ) -> None:
+    def add_system(self, row: Row, system_type: Optional[SystemFailureType]) -> None:
         """Count one system entry, classified when ``system_type`` is set."""
         self.system_total += 1
         if system_type is not None:
@@ -185,9 +185,9 @@ def classification_report(
     """Counts of classified/unclassified messages in both streams."""
     counts = ClassificationCounts()
     for record in user_records:
-        counts.add_test(record, classify_user_record(record))
+        counts.add_test(_test_row(record), classify_user_record(record))
     for entry in system_records:
-        counts.add_system(entry, classify_system_record(entry))
+        counts.add_system(_system_row(entry), classify_system_record(entry))
     return counts.report()
 
 

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.collection.records import TestLogRecord
+from repro.collection.store import MASKED, NODE, RECOVERY, TIME, Row
 from repro.faults.calibration import MAX_SYSTEM_REBOOTS, SIRA_DURATIONS
 from .failure_model import UserFailureType
-from .sira_analysis import record_severity
+from .sira_analysis import record_severity, recovery_outcome
 
 #: Manual action costs (seconds), shared with the SIRA calibration.
 APP_RESTART_TIME = SIRA_DURATIONS[3]
@@ -66,11 +67,15 @@ class ScenarioMetrics:
 
 def scenario_ttr(record: TestLogRecord, scenario: str) -> float:
     """What recovering this failure costs under ``scenario``."""
-    severity = record_severity(record)
+    return _ttr(record_severity(record), record.time_to_recover, scenario)
+
+
+def _ttr(severity: Optional[int], time_to_recover: float, scenario: str) -> float:
+    """:func:`scenario_ttr` of a failure of ``severity``."""
     if severity is None:
         return 0.0  # no recovery defined (data mismatch)
     if scenario in ("siras", "siras_masking"):
-        return record.time_to_recover
+        return time_to_recover
     if scenario == "only_reboot":
         if severity <= 6:
             return REBOOT_TIME
@@ -188,9 +193,9 @@ class ScenarioAccumulator:
     """Single-pass Table 4 metrics over a time-ordered failure stream.
 
     The streaming counterpart of :func:`compute_scenario`: feed it the
-    *unmasked* failure reports of one campaign in global time order
-    (which implies the per-node order the TTF recurrence needs) and
-    read :meth:`result`.  State is one ``previous_end`` entry per node
+    report rows of one campaign in global time order (which implies the
+    per-node order the TTF recurrence needs; masked ones are skipped)
+    and read :meth:`result`.  State is one ``previous_end`` entry per node
     plus O(1) running statistics, so a 1000-seed sweep's record stream
     folds at constant memory instead of materialising sample lists.
 
@@ -214,12 +219,15 @@ class ScenarioAccumulator:
         self._failures = 0
         self._cheap = 0
 
-    def add(self, record: TestLogRecord) -> None:
-        """Fold one unmasked failure report into the running metrics."""
-        previous_end = self._previous_end.get(record.node, self.campaign_start)
-        self._ttf.add(max(MIN_TTF_FLOOR, record.time - previous_end))
-        ttr = scenario_ttr(record, self.scenario)
-        severity = record_severity(record)
+    def add_test(self, row: Row, user_type: Optional[UserFailureType]) -> None:
+        """Fold one report's row: masked ones never reached the user."""
+        if row[MASKED]:
+            return
+        node, time = row[NODE], row[TIME]
+        severity, _, time_to_recover = recovery_outcome(row[RECOVERY])
+        previous_end = self._previous_end.get(node, self.campaign_start)
+        self._ttf.add(max(MIN_TTF_FLOOR, time - previous_end))
+        ttr = _ttr(severity, time_to_recover, self.scenario)
         if severity is not None:
             # Failures with no recovery defined (data mismatch) are
             # not repairs: they carry no TTR sample in any scenario.
@@ -227,12 +235,7 @@ class ScenarioAccumulator:
             if severity <= 3:
                 self._cheap += 1
         self._failures += 1
-        self._previous_end[record.node] = record.time + ttr
-
-    def add_test(self, record: TestLogRecord, user_type: Optional[UserFailureType]) -> None:
-        """Fold one report of any kind: masked ones never reached the user."""
-        if not record.masked:
-            self.add(record)
+        self._previous_end[node] = time + ttr
 
     @property
     def failures(self) -> int:

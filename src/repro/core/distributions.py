@@ -12,6 +12,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bluetooth.packets import PACKET_TYPE_ORDER
 from repro.collection.records import TestLogRecord
+from repro.collection.store import MASKED, PACKET_TYPE, PACKETS_SENT, TESTBED, WORKLOAD, Row
+from repro.collection.store import _test_row
 from repro.workload.bluetest import CycleStats
 from .classification import classify_user_record
 from .failure_model import UserFailureType
@@ -36,14 +38,15 @@ class PacketLosses:
         self.by_age = [0] * (len(self.edges) - 1)
         self.by_application: Dict[str, int] = {}
 
-    def add_test(self, record: TestLogRecord, user_type: Optional[UserFailureType]) -> None:
-        """Count one report if it is an unmasked packet loss."""
-        if record.masked or user_type is not UserFailureType.PACKET_LOSS:
+    def add_test(self, row: Row, user_type: Optional[UserFailureType]) -> None:
+        """Count one report's row if it is an unmasked packet loss."""
+        if row[MASKED] or user_type is not UserFailureType.PACKET_LOSS:
             return
-        if record.packet_type in self.by_packet_type:
-            self.by_packet_type[record.packet_type] += 1
+        packet_type = row[PACKET_TYPE]
+        if packet_type in self.by_packet_type:
+            self.by_packet_type[packet_type] += 1
         edges = self.edges
-        sent = record.packets_sent
+        sent = row[PACKETS_SENT]
         for i in range(len(edges) - 1):
             if edges[i] <= sent < edges[i + 1]:
                 self.by_age[i] += 1
@@ -51,10 +54,9 @@ class PacketLosses:
         else:
             if sent >= edges[-1]:
                 self.by_age[-1] += 1
-        if record.workload != "random":
-            self.by_application[record.workload] = (
-                self.by_application.get(record.workload, 0) + 1
-            )
+        workload = row[WORKLOAD]
+        if workload != "random":
+            self.by_application[workload] = self.by_application.get(workload, 0) + 1
 
     def packet_type_shares(
         self, cycles_by_type: Optional[Dict[str, int]] = None
@@ -95,7 +97,7 @@ def _packet_losses(
 ) -> PacketLosses:
     losses = PacketLosses(bin_edges)
     for record in records:
-        losses.add_test(record, classify_user_record(record))
+        losses.add_test(_test_row(record), classify_user_record(record))
     return losses
 
 
@@ -197,15 +199,16 @@ def failures_by_distance(
 
 
 class WorkloadSplit:
-    """Unmasked failure counts per testbed, folded one record at a time."""
+    """Unmasked failure counts per testbed, folded one row at a time."""
 
     def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
 
-    def add_test(self, record: TestLogRecord, user_type: Optional[UserFailureType]) -> None:
-        """Count one report if it is unmasked."""
-        if not record.masked:
-            self.counts[record.testbed] = self.counts.get(record.testbed, 0) + 1
+    def add_test(self, row: Row, user_type: Optional[UserFailureType]) -> None:
+        """Count one report's row if it is unmasked."""
+        if not row[MASKED]:
+            testbed = row[TESTBED]
+            self.counts[testbed] = self.counts.get(testbed, 0) + 1
 
     def shares(self) -> Dict[str, float]:
         """Each testbed's percentage of the counted failures."""
@@ -220,7 +223,7 @@ def workload_split(records: Iterable[TestLogRecord]) -> Dict[str, float]:
     """§6: share of failures generated by each testbed (random vs realistic)."""
     split = WorkloadSplit()
     for record in records:
-        split.add_test(record, None)
+        split.add_test(_test_row(record), None)
     return split.shares()
 
 

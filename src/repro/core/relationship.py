@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.collection.records import SystemLogRecord, TestLogRecord
-from repro.collection.store import FailureStore
+from repro.collection.store import MASKED, NODE, TIME, FailureStore, Row
 from .coalescence import PAPER_WINDOW
 from .coalescence import iter_coalesce  # noqa: F401  (perfbench traces it by name here)
 from .failure_model import SystemFailureType, UserFailureType
@@ -234,26 +233,25 @@ class RelationshipMiner:
             if nap:
                 self._by_nap.setdefault(nap, []).append(pair)
 
-    def add_test(self, record: TestLogRecord, user_type: Optional[UserFailureType]) -> None:
-        """Enter one user report into its PANU's pairs."""
-        if record.masked:
+    def add_test(self, row: Row, user_type: Optional[UserFailureType]) -> None:
+        """Enter one user report's row into its PANU's pairs."""
+        if row[MASKED]:
             return  # never manifested to the user: not part of any merged log
-        for pair in self._by_node.get(record.node, ()):
-            pair.enter(record.time, self.window)
+        time = row[TIME]
+        for pair in self._by_node.get(row[NODE], ()):
+            pair.enter(time, self.window)
             if user_type is not None:
-                pair.users.append((record.time, user_type))
+                pair.users.append((time, user_type))
 
-    def add_system(
-        self, record: SystemLogRecord, system_type: Optional[SystemFailureType]
-    ) -> None:
-        """Enter one system entry as local to its node and as NAP-side
-        evidence for every pair naming its node as the NAP."""
-        time = record.time
-        for pair in self._by_node.get(record.node, ()):
+    def add_system(self, row: Row, system_type: Optional[SystemFailureType]) -> None:
+        """Enter one system entry's row as local to its node and as
+        NAP-side evidence for every pair naming its node as the NAP."""
+        time, node, _, _, _, message = row
+        for pair in self._by_node.get(node, ()):
             pair.enter(time, self.window)
             if system_type is not None:
                 pair.systems.append((time, 0, column_key(system_type, "local")))
-        naps = self._by_nap.get(record.node)
+        naps = self._by_nap.get(node)
         if not naps:
             return
         # The NAP's log mixes all its PANUs.  Daemons log the requesting
@@ -262,7 +260,7 @@ class RelationshipMiner:
         column = peer = None
         if system_type is not None:
             column = column_key(system_type, "NAP")
-            peer = _peer_of(record.message)
+            peer = _peer_of(message)
         for pair in naps:
             pair.enter(time, self.window)
             if column is not None and (peer is None or peer == pair.host):

@@ -10,9 +10,10 @@ is the failure's *severity*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.collection.records import TestLogRecord
+from repro.collection.records import RecoveryAttempt, TestLogRecord
+from repro.collection.store import MASKED, RECOVERY, Row, _recovery_attempts, _remember, _test_row
 from repro.recovery.sira import SIRA_NAMES
 from .classification import classify_user_record
 from .failure_model import UserFailureType
@@ -36,11 +37,11 @@ class SiraTable:
             self.counts.setdefault(user, {}).get(action, 0) + 1
         )
 
-    def add_test(self, record: TestLogRecord, user: Optional[UserFailureType]) -> None:
-        """Fold one failure report: unmasked, classified ones are counted."""
-        if record.masked or user is None:
+    def add_test(self, row: Row, user: Optional[UserFailureType]) -> None:
+        """Fold one failure report's row: unmasked, classified ones are counted."""
+        if row[MASKED] or user is None:
             return
-        self.add(user, record.recovered_by)
+        self.add(user, recovery_outcome(row[RECOVERY])[1])
 
     def total(self, user: UserFailureType) -> int:
         return sum(self.counts.get(user, {}).values()) + self.unrecovered.get(user, 0)
@@ -114,6 +115,17 @@ class SiraTable:
         return 100.0 * cheap / grand if grand else 0.0
 
 
+def _severity(attempts: Sequence[RecoveryAttempt]) -> Optional[int]:
+    for index, attempt in enumerate(attempts, start=1):
+        if attempt.succeeded:
+            if attempt.action in SIRA_NAMES:
+                return SIRA_NAMES.index(attempt.action) + 1
+            return index  # non-SIRA action: fall back to cascade position
+    if attempts:
+        return len(SIRA_NAMES)  # cascade exhausted: maximal severity
+    return None  # no recovery defined
+
+
 def record_severity(record: TestLogRecord) -> Optional[int]:
     """Severity of one failure report: level of the successful action.
 
@@ -122,22 +134,39 @@ def record_severity(record: TestLogRecord) -> Optional[int]:
     and extension actions (e.g. a piconet failover, which replaces the
     cheap levels) are rated correctly.
     """
-    for index, attempt in enumerate(record.recovery, start=1):
-        if attempt.succeeded:
-            if attempt.action in SIRA_NAMES:
-                return SIRA_NAMES.index(attempt.action) + 1
-            return index  # non-SIRA action: fall back to cascade position
-    if record.recovery:
-        return len(SIRA_NAMES)  # cascade exhausted: maximal severity
-    return None  # no recovery defined
+    return _severity(record.recovery)
+
+
+#: What a recovery cascade comes to: (severity, the action that cleared
+#: the failure, the time spent recovering).
+Outcome = Tuple[Optional[int], Optional[str], float]
+
+#: Outcomes by ``recovery`` column text.
+_OUTCOMES: Dict[str, Outcome] = {}
+
+
+def recovery_outcome(text: str) -> Outcome:
+    """:func:`record_severity`, ``recovered_by`` and ``time_to_recover`` of
+    a ``recovery`` column text, memoised on the text (bounded like the
+    store's memos): a campaign repeats a handful of attempt chains."""
+    outcome = _OUTCOMES.get(text)
+    if outcome is None:
+        attempts = _recovery_attempts(text)
+        recovered_by = next((a.action for a in attempts if a.succeeded), None)
+        outcome = _remember(
+            _OUTCOMES,
+            text,
+            (_severity(attempts), recovered_by, sum(a.duration for a in attempts)),
+        )
+    return outcome
 
 
 def build_sira_table(records: Iterable[TestLogRecord]) -> SiraTable:
     """Mine Table 3 from unmasked failure reports."""
     table = SiraTable()
     for record in records:
-        table.add_test(record, classify_user_record(record))
+        table.add_test(_test_row(record), classify_user_record(record))
     return table
 
 
-__all__ = ["SiraTable", "build_sira_table", "record_severity"]
+__all__ = ["SiraTable", "build_sira_table", "record_severity", "recovery_outcome"]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.collection.records import TestLogRecord
+from repro.collection.store import MASKED, TIME, Row
 from .failure_model import UserFailureType
 
 
@@ -93,10 +94,10 @@ class FailureTimes:
     def __init__(self) -> None:
         self.times: List[float] = []
 
-    def add_test(self, record: TestLogRecord, user_type: Optional[UserFailureType]) -> None:
-        """Keep the time of one report if it is unmasked."""
-        if not record.masked:
-            self.times.append(record.time)
+    def add_test(self, row: Row, user_type: Optional[UserFailureType]) -> None:
+        """Keep the time of one report's row if it is unmasked."""
+        if not row[MASKED]:
+            self.times.append(row[TIME])
 
     def trend(self, period: float) -> TrendResult:
         """Laplace test over the times folded so far."""
@@ -105,10 +106,7 @@ class FailureTimes:
 
 def campaign_trend(records: Iterable[TestLogRecord], period: float) -> TrendResult:
     """Laplace test over a campaign's unmasked failure reports."""
-    failures = FailureTimes()
-    for record in records:
-        failures.add_test(record, None)
-    return failures.trend(period)
+    return laplace_test([record.time for record in records if not record.masked], period)
 
 
 def replacement_effect(

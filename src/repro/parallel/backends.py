@@ -451,6 +451,11 @@ class SubprocessBackend(SweepBackend):
             if reply.get("version") != TASK_VERSION:
                 raise ValueError(f"reply version {reply.get('version')!r}")
             shard = ShardResult.from_payload(reply["shard"])
+            reported = reply["wall"]
+            worker_wall = {
+                "events_per_sec": reported["events_per_sec"],
+                "rss_peak_kb": reported["rss_peak_kb"],
+            }
         except (ValueError, KeyError, TypeError) as error:
             raise self._fail(plan, seed, f"unparsable reply: {error}") from error
         if shard.seed != seed:
@@ -466,7 +471,7 @@ class SubprocessBackend(SweepBackend):
                 statistics=shard.statistics,
                 events=shard.events,
                 metrics=shard.metrics,
-                wall={**where, "wall_time": round(wall_time, 6)},
+                wall={**where, "wall_time": round(wall_time, 6), **worker_wall},
             )
         return shard
 

@@ -61,7 +61,8 @@ log = get_logger("parallel.cache")
 #: Version of the cache entry layout; part of every key derivation so a
 #: layout change starts a disjoint keyspace instead of mis-parsing.
 #: 2: header line + payload line, digest over the payload bytes.
-CACHE_VERSION = 2
+#: 3: the payload's records are rows (``PAYLOAD_VERSION`` 4).
+CACHE_VERSION = 3
 
 #: Environment variable naming a default cache root for the CLI.
 CACHE_ENV = "REPRO_BT_CACHE"

@@ -3,10 +3,11 @@
 A live :class:`~repro.core.campaign.CampaignResult` drags the whole
 simulator object graph along (testbeds, stacks, scheduled callbacks) —
 far too heavy, and not picklable, for crossing a process boundary.
-:class:`ShardResult` is the wire format instead: the repository as plain
-records, aggregated cycle statistics, the metrics snapshot, and the
-per-seed Table 1-4 scalars, all JSON-able so the same payload serves the
-process pool *and* the on-disk checkpoint files.
+:class:`ShardResult` is the wire format instead: the repository as rows
+(:mod:`repro.collection.store`), aggregated cycle statistics, the
+metrics snapshot, and the per-seed Table 1-4 scalars, all JSON-able so
+the same payload serves the process pool *and* the on-disk checkpoint
+files.
 
 :func:`run_shard` is the pool's worker entry point and is deliberately a
 module-level function: it must be importable by name under every
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.collection.repository import CentralRepository
+from repro.collection.store import Row, check_rows
 from repro.core.campaign import CampaignResult, CampaignSpec
 from repro.core.summary import campaign_statistics, importance_estimates
 from repro.obs.journal import (
@@ -42,7 +44,8 @@ if TYPE_CHECKING:
 #: stale checkpoint files are recomputed instead of mis-parsed.
 #: 2: added the ``events`` engine-event counter.
 #: 3: added ``boost`` and the importance-sampling ``estimates`` dict.
-PAYLOAD_VERSION = 3
+#: 4: ``repository`` records as positional rows instead of dicts.
+PAYLOAD_VERSION = 4
 
 
 @dataclass
@@ -53,8 +56,8 @@ class ShardResult:
     duration: float
     #: Wall-clock seconds the replicate took inside its worker.
     wall_time: float
-    #: The central repository as :meth:`CentralRepository.to_payload` data.
-    repository_payload: Dict[str, List[dict]]
+    #: The central repository as :meth:`CentralRepository.to_payload` rows.
+    repository_payload: Dict[str, List[Row]]
     #: (PANU, NAP) log-identifier pairs, for relationship analyses.
     node_nap_pairs: List[Tuple[str, str]]
     #: Aggregated per-testbed cycle statistics (client stats summed).
@@ -152,6 +155,7 @@ class ShardResult:
                 f"shard payload version {payload.get('version')!r} "
                 f"!= {PAYLOAD_VERSION}"
             )
+        check_rows(payload["repository"])
         return cls(
             seed=int(payload["seed"]),
             duration=float(payload["duration"]),

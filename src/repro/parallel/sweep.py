@@ -131,16 +131,16 @@ class SweepResult:
     def into_store(self, target: Union[str, Path]) -> Path:
         """Spill every nominal shard's records into a columnar SQLite store.
 
-        The out-of-core replacement for :attr:`repository`: rows are
-        built straight from each shard's ``repository_payload`` dicts
-        (:meth:`~repro.collection.store.SQLiteStore.ingest_payload`),
-        with no record objects in between, one shard at a time in
-        canonical (ascending-seed) order, so peak memory is a single
-        shard, never the merged stream.  Because the in-memory merge concatenates shard record
-        lists in exactly this order before its stable time-sort, the
-        store's iteration order (``ORDER BY time, id``) matches the
-        merged repository record for record, and every streaming
-        analysis is byte-identical over either.
+        The out-of-core replacement for :attr:`repository`: each shard's
+        ``repository_payload`` rows go to ``executemany`` as they are
+        (:meth:`~repro.collection.store.SQLiteStore.ingest_payload`), one
+        shard at a time in canonical (ascending-seed) order, so peak
+        memory is a single shard, never the merged stream.  Because the
+        in-memory merge concatenates shard row lists in exactly this
+        order before its stable time-sort, the store's iteration order
+        (``ORDER BY time, id``) matches the merged repository record for
+        record, and every streaming analysis is byte-identical over
+        either.
 
         All shards go in as one transaction into a fresh store at a
         sibling temp path, which ``os.replace`` then publishes

@@ -4,8 +4,9 @@ The dispatch backends (:mod:`repro.parallel.backends`) ship shards to
 places a :class:`concurrent.futures.ProcessPoolExecutor` cannot reach —
 a fresh interpreter, another host over SSH.  This module is the far end
 of that wire: it reads one JSON *task* from stdin, runs the shard, and
-writes one JSON *reply* to stdout.  Nothing else touches stdout, so the
-reply is machine-parseable even when the simulation logs to stderr.
+writes one JSON *reply* to stdout: the shard payload plus the worker's
+own throughput and peak RSS.  Nothing else touches stdout, so the reply
+is machine-parseable even when the simulation logs to stderr.
 
 The task carries the campaign spec as plain JSON
 (:func:`spec_to_payload` / :func:`spec_from_payload`): node profiles
@@ -22,13 +23,17 @@ import sys
 from typing import Dict
 
 from repro.core.campaign import CampaignSpec
+from repro.obs.journal import peak_rss_kb
 from repro.recovery.masking import MaskingPolicy
 from repro.testbed.nodes import profile_by_name
 
 from .shard import run_shard
 
 #: Version of the stdin/stdout wire format.
-TASK_VERSION = 1
+#: 2: the reply's shard carries rows (``PAYLOAD_VERSION`` 4) and a
+#: ``wall`` object with the worker's ``events_per_sec`` and
+#: ``rss_peak_kb``.
+TASK_VERSION = 2
 
 
 def spec_to_payload(spec: CampaignSpec) -> Dict[str, object]:
@@ -96,8 +101,14 @@ def main() -> int:
     except Exception as error:  # noqa: BLE001 - the wire carries one verdict
         print(f"worker: {type(error).__name__}: {error}", file=sys.stderr)
         return 1
+    rate = shard.events / shard.wall_time if shard.wall_time > 0 else 0.0
     json.dump(
-        {"version": TASK_VERSION, "shard": shard.to_payload()},
+        {
+            "version": TASK_VERSION,
+            "shard": shard.to_payload(),
+            # For the dispatcher's shard_completed event (wall envelope).
+            "wall": {"events_per_sec": round(rate, 3), "rss_peak_kb": peak_rss_kb()},
+        },
         sys.stdout,
         separators=(",", ":"),
     )

@@ -447,14 +447,17 @@ def test_wire001_missing_endpoint_skips_contract(tmp_path):
     assert "WIRE001" not in fired  # no consumer in scope: nothing to judge
 
 
-# WIRE001 on positional contracts: the shipped store row codec, one side edited.
+# WIRE001 on positional contracts: the shipped row codec and the fold
+# sinks that read rows, one side edited.
 
 STORE_MODULE = "repro/collection/store.py"
 RECORDS_MODULE = "repro/collection/records.py"
+RELATIONSHIP_MODULE = "repro/core/relationship.py"
+ROW_MODULES = (STORE_MODULE, RECORDS_MODULE, RELATIONSHIP_MODULE)
 
 
 def store_row_messages(tmp_path: Path, module: str = STORE_MODULE, old: str = "", new: str = "") -> List[str]:
-    files = {path: (SRC / path).read_text(encoding="utf-8") for path in (STORE_MODULE, RECORDS_MODULE)}
+    files = {path: (SRC / path).read_text(encoding="utf-8") for path in ROW_MODULES}
     if old:
         assert files[module].count(old) == 1, old
         files[module] = files[module].replace(old, new)
@@ -468,7 +471,7 @@ def test_wire001_shipped_store_rows_clean(tmp_path):
 @pytest.mark.parametrize(
     ("module", "old", "new", "expected"),
     [
-        (STORE_MODULE, '        int(data["masked"]),\n', "",
+        (STORE_MODULE, " int(record.masked),\n", "\n",
          "the row written by repro.collection.store._test_row: column 'masked' is missing"),
         (STORE_MODULE, "time, node, _, facility, severity, message = row",
          "time, node, _, facility, message = row",
@@ -487,6 +490,35 @@ def test_wire001_shipped_store_rows_clean(tmp_path):
     ids=["producer", "consumer", "column-tuple", "schema", "record-call", "record-field"],
 )
 def test_wire001_store_row_drift_fires(tmp_path, module, old, new, expected):
+    messages = store_row_messages(tmp_path, module, old, new)
+    assert any(expected in message for message in messages), messages
+
+
+@pytest.mark.parametrize(
+    ("module", "old", "new", "expected"),
+    [
+        # The encoder CentralRepository.ingest_test (and the store's)
+        # fills every repository, payload and store row with.
+        (STORE_MODULE, "record.time, record.node, record.testbed,",
+         "record.time, record.testbed, record.node,",
+         "the row written by repro.collection.store._test_row: "
+         "'testbed' stands where column 'node' belongs"),
+        # A fold sink unpacking a system row with a column dropped.
+        (RELATIONSHIP_MODULE, "time, node, _, _, _, message = row",
+         "time, node, _, _, message = row",
+         "the row read by repro.core.relationship.RelationshipMiner.add_system: "
+         "column 'severity' is missing"),
+        # The named positions every test-row sink indexes with.
+        (STORE_MODULE, " PACKETS_EXPECTED, SCAN_FLAG, SDP_FLAG,",
+         " PACKETS_EXPECTED, SDP_FLAG, SCAN_FLAG,",
+         "the row positions repro.collection.store names: "
+         "'sdp_flag' stands where column 'scan_flag' belongs"),
+        (STORE_MODULE, " IDLE_BEFORE_CYCLE, MASKED, RECOVERY)", " IDLE_BEFORE_CYCLE, RECOVERY)",
+         "the row positions repro.collection.store names: column 'masked' is missing"),
+    ],
+    ids=["repository-row-swap", "sink-unpacking", "positions-swap", "positions-drop"],
+)
+def test_wire001_row_readers_and_writers_drift_fires(tmp_path, module, old, new, expected):
     messages = store_row_messages(tmp_path, module, old, new)
     assert any(expected in message for message in messages), messages
 

@@ -261,6 +261,20 @@ exit 1"""
             if e["event"] != "shard_progress"
         )
 
+    def test_completed_shards_carry_worker_throughput_and_rss(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        run_sweep(
+            2, jobs=2, spec=SPEC, backend="subprocess",
+            telemetry=SweepTelemetry(journal=journal),
+        )
+        completed = [e for e in read_journal(journal) if e["event"] == "shard_completed"]
+        assert len(completed) == 2
+        for event in completed:
+            assert event["wall"]["events_per_sec"] > 0
+            assert event["wall"]["rss_peak_kb"] > 0
+        views = SweepMonitor().feed(read_journal(journal)).shards.values()
+        assert all(view.events_per_sec and view.rss_peak_kb for view in views)
+
     def test_event_count_ignores_telemetry(self, tmp_path):
         spec = SPEC.with_seed(7)
         observed = run_shard(
@@ -478,6 +492,71 @@ class TestShardCache:
         self._rewrite_header(path, **changes)
         assert cache.get(self.FINGERPRINT, shard.seed) is None
         assert not path.exists()
+
+
+def dict_shaped(payload: dict, version: int) -> dict:
+    """``payload`` in the shard layout of ``PAYLOAD_VERSION`` 3: one dict
+    per record instead of one row."""
+    from repro.collection.store import _system_record, _test_record
+
+    repository = payload["repository"]
+    return dict(
+        payload,
+        version=version,
+        repository={
+            "test": [_test_record(row).to_dict() for row in repository["test"]],
+            "system": [_system_record(row).to_dict() for row in repository["system"]],
+        },
+    )
+
+
+class TestStaleLayout:
+    """A shard store written in the dict-per-record layout is never
+    half-parsed: each entry is evicted and recomputed once, and the
+    outputs equal a cold run's."""
+
+    SWEEP = ["sweep", "--hours", "1", "--seeds", "2", "--seed", "77", "--jobs", "1"]
+
+    def outputs(self, out, capsys):
+        from repro.cli import main
+
+        store = out / "failures.store"
+        assert main([*self.SWEEP, "--out", str(out), "--store", str(store)]) == 0
+        (reused,) = [line for line in capsys.readouterr().out.splitlines() if " reused, " in line]
+        assert main(["query", str(store), "--tables"]) == 0
+        return (out / "sweep.txt").read_text(encoding="utf-8"), capsys.readouterr().out, reused
+
+    @pytest.mark.parametrize(
+        ("header_version", "payload_version"),
+        [(2, 3), (CACHE_VERSION, 3), (CACHE_VERSION, None)],
+        ids=["v2-entry", "v3-payload", "dict-rows-current-stamp"],
+    )
+    def test_dict_shaped_checkpoint_is_recomputed(
+        self, tmp_path, capsys, header_version, payload_version
+    ):
+        cold = self.outputs(tmp_path / "cold", capsys)
+        stale = tmp_path / "stale"
+        self.outputs(stale, capsys)
+        entries = sorted((stale / "shards").rglob("*.json"))
+        assert len(entries) == 2
+        for entry in entries:
+            header_line, payload_line, _ = entry.read_bytes().split(b"\n")
+            payload = json.loads(payload_line)
+            body = json.dumps(
+                dict_shaped(payload, payload_version or payload["version"]),
+                separators=(",", ":"),
+            ).encode("utf-8")
+            header = dict(
+                json.loads(header_line),
+                version=header_version,
+                sha256=hashlib.sha256(body).hexdigest(),
+            )
+            entry.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body + b"\n")
+        sweep_txt, tables, reused = self.outputs(stale, capsys)
+        assert "(0 reused" in reused
+        assert (sweep_txt, tables) == cold[:2]
+        # The recomputed entries replaced the stale ones and serve again.
+        assert "(2 reused" in self.outputs(stale, capsys)[2]
 
 
 class TestCacheInSweeps:

@@ -91,22 +91,6 @@ class TestLogs:
         sim.run()
         assert list(log.records())[0].time == 7.0
 
-    def test_jsonl_roundtrip(self, tmp_path):
-        log = WorkloadTestLog("t:n")
-        log.append(make_report(recovery=[RecoveryAttempt("system_reboot", True, 210.0)]))
-        path = tmp_path / "test.jsonl"
-        log.dump_jsonl(path)
-        loaded = WorkloadTestLog.load_jsonl("t:n", path)
-        assert list(loaded.records()) == list(log.records())
-
-    def test_system_jsonl_roundtrip(self, tmp_path):
-        log = SystemLog("t:n", random.Random(0))
-        log.error(SystemFailureType.USB, "no_address")
-        path = tmp_path / "sys.jsonl"
-        log.dump_jsonl(path)
-        loaded = SystemLog.load_jsonl("t:n", path)
-        assert list(loaded.records()) == list(log.records())
-
 
 class TestFiltering:
     def test_info_entries_dropped(self):

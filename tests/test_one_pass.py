@@ -3,11 +3,13 @@
 Two guarantees of :func:`repro.core.merge.fold_store`:
 
 * **Read amplification.**  A full render (``repro-bt analyze``) and
-  :func:`campaign_statistics` open one test cursor and one system cursor
-  and decode each stored row about once; each distinct message text is
-  classified once per pass.  Cursors and decoded rows are counted by
-  wrapping :meth:`SQLiteStore.iter_records` and the row decoders, so a
-  regression back to one scan per statistic fails here by name.
+  :func:`campaign_statistics` open one test row cursor and one system
+  row cursor, read each stored row about once and decode none of them
+  into records; each distinct message text is classified once per
+  pass.  Cursors and rows are counted by wrapping
+  :meth:`SQLiteStore.iter_rows`, decoded records by wrapping the row
+  decoders, so a regression back to one scan per statistic fails here
+  by name.
 * **Fan-out equals per-node mining.**  The relationship miner
   demultiplexes the single merged scan into one coalescer per PANU.  A
   per-node reference kept in this file — ``merge_records`` +
@@ -56,20 +58,23 @@ MAX_AMPLIFICATION = 1.1
 
 
 class ReadCounter:
-    """Counts record cursors, decoded rows and classified texts."""
+    """Counts row cursors, the rows they yield, decoded records and classified texts."""
 
     def __init__(self, monkeypatch):
         self.cursors = 0
         self.rows = 0
+        self.decoded = 0
         self.user_texts = Counter()
         self.system_texts = Counter()
-        iter_records = SQLiteStore.iter_records
+        iter_rows = SQLiteStore.iter_rows
 
-        def counting_iter(store, **query):
+        def counting_rows(store, **query):
             self.cursors += 1
-            return iter_records(store, **query)
+            for row in iter_rows(store, **query):
+                self.rows += 1
+                yield row
 
-        monkeypatch.setattr(SQLiteStore, "iter_records", counting_iter)
+        monkeypatch.setattr(SQLiteStore, "iter_rows", counting_rows)
         for name in ("_test_record", "_system_record"):
             monkeypatch.setattr(store_module, name, self._counting(getattr(store_module, name)))
         for name, texts in (
@@ -82,7 +87,7 @@ class ReadCounter:
 
     def _counting(self, decode):
         def counted(row):
-            self.rows += 1
+            self.decoded += 1
             return decode(row)
 
         return counted
@@ -117,7 +122,8 @@ class TestReadAmplification:
             _analyses_text(store, pairs)
         assert items > 1000
         assert counter.cursors == 2
-        assert counter.rows <= MAX_AMPLIFICATION * items
+        assert 1000 < counter.rows <= MAX_AMPLIFICATION * items
+        assert counter.decoded == 0
         assert counter.most_classifications_of_one_text() == 1
 
     def test_campaign_statistics_reads_each_row_once(self, spilled_store, monkeypatch):
@@ -127,7 +133,8 @@ class TestReadAmplification:
             counter = ReadCounter(monkeypatch)
             campaign_statistics(store, pairs, 12 * 3600.0)
         assert counter.cursors == 2
-        assert counter.rows <= MAX_AMPLIFICATION * items
+        assert 1000 < counter.rows <= MAX_AMPLIFICATION * items
+        assert counter.decoded == 0
         assert counter.most_classifications_of_one_text() == 1
 
     def test_pair_inference_probes_one_row_per_node(
@@ -138,7 +145,7 @@ class TestReadAmplification:
             counter = ReadCounter(monkeypatch)
             pairs = infer_node_nap_pairs(store)
             nodes = store.nodes()
-        assert counter.rows <= len(nodes)
+        assert counter.decoded <= len(nodes)
         assert pairs == infer_node_nap_pairs(memory)
         assert sorted(pairs) == sorted(baseline_campaign.node_nap_pairs())
 

@@ -5,8 +5,9 @@ hand-written dict literals and ``from_dict`` has an exact-key fast
 path.  The oracle here is the reflective encoding they replaced,
 :func:`dataclasses.asdict` with ``recovery`` as a list: the explicit
 codec must produce the same keys in the same order and the same JSON
-bytes, so shard payloads, cache entries and JSONL repositories are
-unchanged.
+bytes, so JSONL repositories are unchanged.  Shard payloads and cache
+entries carry rows; their oracle is the same ``asdict`` encoding laid
+out in column order.
 
 The record strategy draws a value for *every* dataclass field (by its
 annotation), so a field added to a record and missed in ``to_dict``,
@@ -25,7 +26,13 @@ from hypothesis import strategies as st
 from repro import api
 from repro.collection.records import RecoveryAttempt, SystemLogRecord, TestLogRecord
 from repro.collection.repository import CentralRepository
-from repro.collection.store import _TEST_COLUMNS, SQLiteStore, _test_record, _test_row
+from repro.collection.store import (
+    _SYSTEM_COLUMNS,
+    _TEST_COLUMNS,
+    SQLiteStore,
+    _test_record,
+    _test_row,
+)
 from repro.parallel.cache import CACHE_VERSION, ShardCache, shard_key
 
 # -- the reference encoding ----------------------------------------------------
@@ -39,11 +46,24 @@ def reference_dict(record) -> dict:
     return data
 
 
+def reference_row(record) -> list:
+    """The record's row from the reference encoding: values in column
+    order, flags as 0/1, attempts as compact JSON."""
+    data = reference_dict(record)
+    if isinstance(record, SystemLogRecord):
+        data["testbed"] = record.node.partition(":")[0]
+        return [data[column] for column in _SYSTEM_COLUMNS]
+    for flag in ("scan_flag", "sdp_flag", "masked"):
+        data[flag] = int(data[flag])
+    data["recovery"] = json.dumps(data["recovery"], separators=(",", ":"))
+    return [data[column] for column in _TEST_COLUMNS]
+
+
 def reference_repository_payload(repository: CentralRepository) -> dict:
     """:meth:`CentralRepository.to_payload`, re-encoded with the reference."""
     return {
-        "test": [reference_dict(r) for r in repository.iter_records(kind="test")],
-        "system": [reference_dict(r) for r in repository.iter_records(kind="system")],
+        "test": [reference_row(r) for r in repository.iter_records(kind="test")],
+        "system": [reference_row(r) for r in repository.iter_records(kind="system")],
     }
 
 
@@ -152,7 +172,7 @@ class TestStoreRow:
     def test_row_columns_are_the_record_fields(self):
         record = TestLogRecord(0.0, "n", "random", "web", "m", "connect")
         assert list(_TEST_COLUMNS) == [f.name for f in dataclasses.fields(TestLogRecord)]
-        assert len(_test_row(record.to_dict())) == len(_TEST_COLUMNS)
+        assert len(_test_row(record)) == len(_TEST_COLUMNS)
 
     @given(st.lists(test_records, max_size=8))
     @settings(max_examples=100, deadline=None)
@@ -168,7 +188,7 @@ class TestStoreRow:
         expected = json.dumps(
             [reference_dict(a) for a in record.recovery], separators=(",", ":")
         )
-        assert _test_row(record.to_dict())[RECOVERY] == expected
+        assert _test_row(record)[RECOVERY] == expected
 
 
 # -- unknown keys: dropped at every level ----------------------------------------
@@ -191,14 +211,18 @@ class TestUnknownKeys:
 
     def test_repository_payload_and_open_drop_unknown_attempt_keys(self, tmp_path):
         data = dict(RECORD.to_dict(), recovery=[ATTEMPT_WITH_EXTRA])
-        repository = CentralRepository.from_payload({"test": [data], "system": []})
-        assert list(repository.iter_records(kind="test")) == [RECORD]
+        repository = CentralRepository()
+        repository.ingest_test([TestLogRecord.from_dict(data)])
+        payload = repository.to_payload()
+        assert payload["test"] == [_test_row(RECORD)]
+        restored = CentralRepository.from_payload(payload)
+        assert list(restored.iter_records(kind="test")) == [RECORD]
         tmp_path.joinpath("test_records.jsonl").write_text(json.dumps(data) + "\n")
         opened = CentralRepository.open(tmp_path)
         assert list(opened.iter_records(kind="test")) == [RECORD]
 
     def test_store_row_drops_unknown_attempt_keys(self):
-        row = list(_test_row(RECORD.to_dict()))
+        row = list(_test_row(RECORD))
         row[RECOVERY] = json.dumps([ATTEMPT_WITH_EXTRA])
         assert _test_record(tuple(row)) == RECORD
 

@@ -112,3 +112,35 @@ class TestBuildTable:
 
     def test_mean_severity_none_without_data(self):
         assert SiraTable().mean_severity(UserFailureType.PACKET_LOSS) is None
+
+
+class TestRecoveryOutcomeMemo:
+    """The fold reads severity, recovering action and TTR off a memo keyed
+    by the ``recovery`` column text; each must equal the record's own."""
+
+    def test_memo_matches_the_decoded_records(self, tmp_path):
+        from repro import api
+        from repro.collection.store import RECOVERY, SQLiteStore, _test_record, _test_row
+        from repro.core.sira_analysis import recovery_outcome
+
+        sweep = api.sweep(
+            2, jobs=1, backend="serial", duration=6 * 3600.0, seed=2006,
+            fidelity="batch", store=tmp_path / "batch.store",
+        )
+        with SQLiteStore.open(sweep.store_path) as store:
+            rows = list(store.iter_rows(kind="test"))
+        texts = {row[RECOVERY]: row for row in rows}
+        failover = report("m", [RecoveryAttempt(SIRA_NAMES[0], False, 1.5),
+                                RecoveryAttempt("piconet_failover", True, 4.25)])
+        exhausted = report("m", [RecoveryAttempt(name, False, 2.0) for name in SIRA_NAMES])
+        for record in (failover, exhausted):
+            row = _test_row(record)
+            texts[row[RECOVERY]] = row
+        assert len(texts) > 5
+        for text, row in texts.items():
+            record = _test_record(row)
+            assert recovery_outcome(text) == (
+                record_severity(record), record.recovered_by, record.time_to_recover
+            )
+        assert recovery_outcome(_test_row(failover)[RECOVERY])[:2] == (2, "piconet_failover")
+        assert recovery_outcome(_test_row(exhausted)[RECOVERY])[:2] == (len(SIRA_NAMES), None)

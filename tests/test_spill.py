@@ -1,12 +1,11 @@
 """Tests for spilling a sweep into the columnar store from shard payloads.
 
-:meth:`SweepResult.into_store` builds SQLite rows straight from each
-shard's ``repository_payload`` dicts, in one transaction, into a fresh
-store that ``os.replace`` publishes.  The oracle is the object path it
-replaced: every shard's payload rebuilt as a
-:class:`CentralRepository` (``from_payload``) and ingested with
-:meth:`SQLiteStore.ingest_store`.  Both stores must hold the same rows,
-every column, in ``id`` order.
+:meth:`SweepResult.into_store` hands each shard's ``repository_payload``
+rows to SQLite as they are, in one transaction, into a fresh store that
+``os.replace`` publishes.  The oracle is the object path: every shard's
+payload rebuilt as a :class:`CentralRepository` (``from_payload``) and
+ingested with :meth:`SQLiteStore.ingest_store`.  Both stores must hold
+the same rows, every column, in ``id`` order.
 """
 
 import json
@@ -18,7 +17,7 @@ import pytest
 from repro import api
 from repro.cli import main
 from repro.collection import store as store_module
-from repro.collection.records import RecoveryAttempt, TestLogRecord
+from repro.collection.records import RecoveryAttempt, SystemLogRecord, TestLogRecord
 from repro.collection.repository import CentralRepository
 from repro.collection.store import SQLiteStore
 from repro.core.campaign import CampaignSpec
@@ -62,29 +61,31 @@ def synthetic_shard(seed: int, test, system) -> ShardResult:
 
 
 def report(time, **changes):
+    """A payload row of one user-level report."""
     data = {
         "time": time, "node": "random:Verde", "testbed": "random",
         "workload": "web", "message": "bluetest: nap service not found",
         "phase": "sdp_search", "packet_type": "DM1", "packets_sent": 3,
         "packets_expected": 5, "scan_flag": True, "sdp_flag": False,
         "distance": 5.0, "cycle_on_connection": 2, "idle_before_cycle": 1.5,
-        "masked": False, "recovery": [],
+        "masked": False, "recovery": (),
     }
     data.update(changes)
-    return data
+    return store_module._test_row(TestLogRecord(**data))
 
 
 def entry(time, node="random:Verde", **changes):
+    """A payload row of one system-level entry."""
     data = {"time": time, "node": node, "facility": "hcid",
             "severity": "error", "message": "hci0: command tx timeout"}
     data.update(changes)
-    return data
+    return store_module._system_row(SystemLogRecord(**data))
 
 
-ATTEMPTS = [
-    {"action": "ip_socket_reset", "succeeded": False, "duration": 0.5},
-    {"action": "bt_stack_reset", "succeeded": True, "duration": 2.25},
-]
+ATTEMPTS = (
+    RecoveryAttempt("ip_socket_reset", False, 0.5),
+    RecoveryAttempt("bt_stack_reset", True, 2.25),
+)
 
 
 # -- the row oracle ---------------------------------------------------------------
@@ -107,18 +108,11 @@ def test_spill_matches_object_path_on_edge_records(tmp_path):
         test=[
             report(1.0, packet_type=None, recovery=ATTEMPTS),
             report(5.0, message="tie, first shard"),
-            # Unknown record key: dropped, as from_dict drops it.
-            report(6.0, operator="added-by-a-newer-version"),
-            # Missing defaulted keys: filled, as from_dict fills them.
-            {key: value for key, value in report(7.0).items()
-             if key not in ("masked", "recovery", "packet_type")},
-            # Unknown attempt key, and attempt keys out of field order.
-            report(8.0, recovery=[
-                dict(ATTEMPTS[0], operator="x"),
-                {"duration": 1.0, "action": "bt_stack_reset", "succeeded": True},
-            ]),
+            report(6.0, masked=True, scan_flag=False, sdp_flag=True),
+            report(7.0, recovery=ATTEMPTS[:1]),
+            report(8.0, recovery=(RecoveryAttempt("piconet_failover", True, 1.0),)),
         ],
-        system=[entry(2.0), entry(5.0, "realistic:Miseno"), entry(9.0, extra=1)],
+        system=[entry(2.0), entry(5.0, "realistic:Miseno"), entry(9.0, severity="info")],
     )
     second = synthetic_shard(
         2,
@@ -302,7 +296,7 @@ def test_more_recovery_texts_than_the_memo_bound_round_trip(tmp_path, monkeypatc
         )
         for index in range(60)
     ]
-    payload = {"test": [record.to_dict() for record in records], "system": []}
+    payload = {"test": [store_module._test_row(record) for record in records], "system": []}
     with SQLiteStore(tmp_path / "records.store") as store:
         store.ingest_test(records)
         assert list(store.iter_records(kind="test")) == records
@@ -332,6 +326,7 @@ def test_recovery_memo_keeps_values_that_compare_equal_apart(attempt):
     canonical = {"action": "bt_stack_reset", "succeeded": True,
                  "duration": abs(float(attempt["duration"]))}
     for attempts in ([canonical], [attempt], [canonical], [attempt]):
-        assert store_module._recovery_column(attempts) == json.dumps(
+        recovery = tuple(RecoveryAttempt(**data) for data in attempts)
+        assert store_module._recovery_column(recovery) == json.dumps(
             attempts, separators=(",", ":")
         )
