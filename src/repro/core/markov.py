@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.collection.records import TestLogRecord
 from repro.faults.calibration import SIRA_DURATIONS
 from .sira_analysis import record_severity
@@ -114,6 +112,10 @@ def build_ctmc(
         stationary = {"UP": 1.0}
         stationary.update({f"DOWN_{s}": 0.0 for s in range(1, N_LEVELS + 1)})
         return AvailabilityModel(failure_rate, probs, times, stationary)
+
+    # Lazy import: only this solver needs numpy, so importing repro (and
+    # the bit engine behind it) does not load it.
+    import numpy as np
 
     # Generator matrix over states [UP, DOWN_1 .. DOWN_7].
     n = 1 + N_LEVELS

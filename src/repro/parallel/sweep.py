@@ -172,35 +172,6 @@ class SweepResult:
                     pairs.append(pair)
         return pairs
 
-    def merged_cycle_stats(self) -> Dict[str, Dict[str, object]]:
-        """Per-testbed cycle counters summed across every nominal shard."""
-        merged: Dict[str, Dict[str, object]] = {}
-        for shard in self.shards:
-            for testbed, entry in shard.cycle_stats.items():
-                into = merged.setdefault(
-                    testbed,
-                    {
-                        "cycles": 0,
-                        "failures": 0,
-                        "masked": 0,
-                        "idle_ok_sum": 0.0,
-                        "idle_ok_count": 0,
-                        "idle_fail_sum": 0.0,
-                        "idle_fail_count": 0,
-                        "cycles_by_packet_type": {},
-                    },
-                )
-                for key in (
-                    "cycles", "failures", "masked",
-                    "idle_ok_sum", "idle_ok_count",
-                    "idle_fail_sum", "idle_fail_count",
-                ):
-                    into[key] += entry[key]
-                by_type = into["cycles_by_packet_type"]
-                for name, count in entry["cycles_by_packet_type"].items():
-                    by_type[name] = by_type.get(name, 0) + count
-        return merged
-
     # -- pooled statistics ---------------------------------------------------
 
     def pooled(self) -> Dict[str, PooledStat]:

@@ -474,6 +474,55 @@ def _solve_dilation(panus: List["_PanuBatch"]) -> None:
         panu.dilation = factor
 
 
+class _Chunk:
+    """One pre-drawn chunk of ``_CHUNK`` cycles, listified per column.
+
+    Entry ``k`` of each column is cycle ``k``'s draw; the ``cum_*`` and
+    ``next_*`` prefix lists drive the span fast paths (each workload
+    sets only its own).  Only :meth:`_PanuBatch.run` holds a chunk, as a
+    local, so a PANU's chunk is freed when it reaches its horizon, not
+    when its testbed is collected.
+    """
+
+    # Span prefix lists: the random workload's ...
+    cum_dt: List[float]
+    next_special: List[int]
+    cum_counts: List[List[int]]
+    # ... and the realistic workload's.
+    next_bad: List[int]
+    cum_tr: List[float]
+    cum_idle: List[float]
+    cum_np: List[int]
+    # Per-cycle columns.
+    scan: List[bool]
+    sdp_flag: List[bool]
+    did_sdp: List[bool]
+    idle: List[float]
+    pt_index: List[int]
+    n_logical: List[int]
+    per_logical: List[int]
+    n_payloads: List[int]
+    per_payload: List[float]
+    cpc: List[int]
+    app_index: List[int]
+    app_mult: List[float]
+    h_const: List[float]
+    status: List[int]
+    event_index: List[int]
+    transfer_s: List[float]
+    mismatch_has: List[bool]
+    mismatch_index: List[int]
+    u_break: List[float]
+    fail_op: List[int]
+    latent: List[bool]
+    inquiry_ok: List[float]
+    inquiry_fail: List[float]
+    sdp_ok: List[float]
+    page: List[float]
+    setup: List[float]
+    connect_overhead: List[float]
+
+
 class _PanuBatch:
     """Vectorised per-PANU campaign state and execution."""
 
@@ -555,7 +604,6 @@ class _PanuBatch:
         )
 
         self._index = 0
-        self._size = 0
         self.duty_transfer = 0.0
         self.duty_overhead = 0.0
         self.duty_fraction = 1.0
@@ -662,7 +710,7 @@ class _PanuBatch:
             remaining &= ~gate
         return fail_op
 
-    def _refill(self) -> None:
+    def _refill(self) -> _Chunk:
         """Pre-draw the next chunk of cycles (vectorised, then listified)."""
         gen = self._gen
         size = _CHUNK
@@ -710,6 +758,8 @@ class _PanuBatch:
             + BIND_DELAY
         )
 
+        chunk = _Chunk()
+
         # -- span compression -------------------------------------------------
         # Runs of "boring" cycles (no reconnect-chain failure, transfer
         # completes, no latent defect) advance only the clock and simple
@@ -727,54 +777,54 @@ class _PanuBatch:
                 + transfer_s * dilation
                 + self._hci_command
             )
-            self._cum_dt = np.cumsum(dt_full).tolist()
-            self._next_special = (
+            chunk.cum_dt = np.cumsum(dt_full).tolist()
+            chunk.next_special = (
                 np.minimum.accumulate(np.where(~boring, size_arange, size)[::-1])[::-1]
             ).tolist()
             one_hot = pt_index[:, None] == np.arange(len(PACKET_TYPE_ORDER))[None, :]
             cum_counts = np.cumsum(one_hot, axis=0)
-            self._cum_counts = [cum_counts[:, k].tolist() for k in range(len(PACKET_TYPE_ORDER))]
+            chunk.cum_counts = [cum_counts[:, k].tolist() for k in range(len(PACKET_TYPE_ORDER))]
         else:
             # Connected spans end at the first non-completing transfer;
             # connection boundaries (cpc, latency) are resolved scalar-side.
-            self._next_bad = (
+            chunk.next_bad = (
                 np.minimum.accumulate(np.where(status != 0, size_arange, size)[::-1])[::-1]
             ).tolist()
-            self._cum_tr = np.cumsum(
+            chunk.cum_tr = np.cumsum(
                 params["idle"] + transfer_s * dilation
             ).tolist()
-            self._cum_idle = np.cumsum(params["idle"]).tolist()
-            self._cum_np = np.cumsum(n_payloads).tolist()
+            chunk.cum_idle = np.cumsum(params["idle"]).tolist()
+            chunk.cum_np = np.cumsum(n_payloads).tolist()
 
-        self.scan = scan.tolist()
-        self.sdp_flag = params["sdp"].tolist()
-        self.did_sdp = did_sdp.tolist()
-        self.idle = params["idle"].tolist()
-        self.pt_index = pt_index.tolist()
-        self.n_logical = params["n_logical"].tolist()
-        self.per_logical = params["per_logical"].tolist()
-        self.n_payloads = n_payloads.tolist()
-        self.per_payload = per_payload.tolist()
-        self.cpc = params["cpc"].tolist()
-        self.app_index = params["app_index"].tolist()
-        self.app_mult = app_mult.tolist()
-        self.h_const = h_const.tolist()
-        self.status = status.tolist()
-        self.event_index = event_index.tolist()
-        self.transfer_s = transfer_s.tolist()
-        self.mismatch_has = mismatch_has.tolist()
-        self.mismatch_index = mismatch_index.tolist()
-        self.u_break = u_break.tolist()
-        self.fail_op = fail_op.tolist()
-        self.latent = latent.tolist()
-        self.inquiry_ok = inquiry_ok.tolist()
-        self.inquiry_fail = inquiry_fail.tolist()
-        self.sdp_ok = sdp_ok.tolist()
-        self.page = page.tolist()
-        self.setup = setup.tolist()
-        self.connect_overhead = connect_overhead.tolist()
+        chunk.scan = scan.tolist()
+        chunk.sdp_flag = params["sdp"].tolist()
+        chunk.did_sdp = did_sdp.tolist()
+        chunk.idle = params["idle"].tolist()
+        chunk.pt_index = pt_index.tolist()
+        chunk.n_logical = params["n_logical"].tolist()
+        chunk.per_logical = params["per_logical"].tolist()
+        chunk.n_payloads = n_payloads.tolist()
+        chunk.per_payload = per_payload.tolist()
+        chunk.cpc = params["cpc"].tolist()
+        chunk.app_index = params["app_index"].tolist()
+        chunk.app_mult = app_mult.tolist()
+        chunk.h_const = h_const.tolist()
+        chunk.status = status.tolist()
+        chunk.event_index = event_index.tolist()
+        chunk.transfer_s = transfer_s.tolist()
+        chunk.mismatch_has = mismatch_has.tolist()
+        chunk.mismatch_index = mismatch_index.tolist()
+        chunk.u_break = u_break.tolist()
+        chunk.fail_op = fail_op.tolist()
+        chunk.latent = latent.tolist()
+        chunk.inquiry_ok = inquiry_ok.tolist()
+        chunk.inquiry_fail = inquiry_fail.tolist()
+        chunk.sdp_ok = sdp_ok.tolist()
+        chunk.page = page.tolist()
+        chunk.setup = setup.tolist()
+        chunk.connect_overhead = connect_overhead.tolist()
         self._index = 0
-        self._size = size
+        return chunk
 
     # -- duty estimation ------------------------------------------------------
 
@@ -924,6 +974,7 @@ class _PanuBatch:
         t: float,
         failure: UserFailureType,
         activation: FaultActivation,
+        chunk: _Chunk,
         index: int,
         packets_sent: int,
         cycle_on_connection: int,
@@ -972,7 +1023,7 @@ class _PanuBatch:
                 attempts = tuple(chain)
             if t > duration:
                 return t, False, scope
-        packet_type = PACKET_TYPE_ORDER[self.pt_index[index]]
+        packet_type = PACKET_TYPE_ORDER[chunk.pt_index[index]]
         self.test_records.append(
             TestLogRecord(
                 time=t,
@@ -983,12 +1034,12 @@ class _PanuBatch:
                 phase=failure.group.value,
                 packet_type=packet_type.value,
                 packets_sent=packets_sent,
-                packets_expected=self.n_logical[index],
-                scan_flag=self.scan[index],
-                sdp_flag=self.sdp_flag[index],
+                packets_expected=chunk.n_logical[index],
+                scan_flag=chunk.scan[index],
+                sdp_flag=chunk.sdp_flag[index],
                 distance=self.profile.distance,
                 cycle_on_connection=cycle_on_connection,
-                idle_before_cycle=self.idle[index],
+                idle_before_cycle=chunk.idle[index],
                 masked=masked,
                 recovery=attempts,
             )
@@ -1020,19 +1071,19 @@ class _PanuBatch:
         type_count = len(PACKET_TYPE_ORDER)
         span_counts = [0] * type_count  # per-type cycles consumed by spans
 
-        self._refill()
+        chunk = self._refill()  # local only: freed when run() returns
         while True:
             index = self._index
-            if index >= self._size:
-                self._refill()
+            if index >= _CHUNK:
+                chunk = self._refill()
                 index = 0
 
             # -- span fast paths (no scalar draws consumed) -------------------
             if is_random:
                 if not connected:
-                    j = self._next_special[index]
+                    j = chunk.next_special[index]
                     if j > index:
-                        cum_dt = self._cum_dt
+                        cum_dt = chunk.cum_dt
                         base = cum_dt[index - 1] if index else 0.0
                         total = cum_dt[j - 1] - base
                         if t + total <= duration:
@@ -1042,7 +1093,7 @@ class _PanuBatch:
                             n_span = j - index
                             stats.cycles += n_span
                             self.connects += n_span
-                            cum_counts = self._cum_counts
+                            cum_counts = chunk.cum_counts
                             for k in range(type_count):
                                 col = cum_counts[k]
                                 span_counts[k] += col[j - 1] - (
@@ -1053,16 +1104,16 @@ class _PanuBatch:
                             cycle_on_connection = 1
                             cycles_left = 0
                             latent = False
-                            age = self.n_payloads[j - 1]
+                            age = chunk.n_payloads[j - 1]
                             self._index = j
                             continue
             elif connected and not latent:
-                j = self._next_bad[index]
+                j = chunk.next_bad[index]
                 limit = index + cycles_left
                 if j > limit:
                     j = limit
                 if j > index:
-                    cum_tr = self._cum_tr
+                    cum_tr = chunk.cum_tr
                     base = cum_tr[index - 1] if index else 0.0
                     total = cum_tr[j - 1] - base
                     tend = t + total
@@ -1071,11 +1122,11 @@ class _PanuBatch:
                         t = tend
                         stats.cycles += m
                         span_counts[_STACK_CHOICE_INDEX] += m
-                        cum_idle = self._cum_idle
+                        cum_idle = chunk.cum_idle
                         idle_total = cum_idle[j - 1] - (
                             cum_idle[index - 1] if index else 0.0
                         )
-                        cum_np = self._cum_np
+                        cum_np = chunk.cum_np
                         age += cum_np[j - 1] - (cum_np[index - 1] if index else 0)
                         cycles_left -= m
                         cycle_on_connection += m
@@ -1085,7 +1136,7 @@ class _PanuBatch:
                             # command can cross the horizon, in which
                             # case the final cycle's idle bookkeeping
                             # never runs.
-                            last_idle = self.idle[j - 1]
+                            last_idle = chunk.idle[j - 1]
                             stats.idle_ok_sum += idle_total - last_idle
                             stats.idle_ok_count += m - 1
                             connected = False
@@ -1101,7 +1152,7 @@ class _PanuBatch:
 
             self._index = index + 1
 
-            idle = self.idle[index]
+            idle = chunk.idle[index]
             t += idle
             if t > duration:
                 break
@@ -1113,23 +1164,23 @@ class _PanuBatch:
                 connected = False
             stats.cycles += 1
             had_connection = connected
-            pt_index = self.pt_index[index]
+            pt_index = chunk.pt_index[index]
             key = PACKET_TYPE_ORDER[pt_index].code
             counts[key] = counts.get(key, 0) + 1
-            app_name = "random" if is_random else _APPS[self.app_index[index]]
+            app_name = "random" if is_random else _APPS[chunk.app_index[index]]
 
             if not connected:
-                op = self.fail_op[index]
+                op = chunk.fail_op[index]
                 if op != _OP_NONE:
-                    scan_wait = self.inquiry_ok[index] if self.scan[index] else 0.0
+                    scan_wait = chunk.inquiry_ok[index] if chunk.scan[index] else 0.0
                     if op == _OP_INQUIRY:
                         manifest = t
-                        detect_extra = self.inquiry_fail[index]
+                        detect_extra = chunk.inquiry_fail[index]
                     elif op <= _OP_NAP_NOT_FOUND:
                         manifest = t + scan_wait
                         detect_extra = SDP_FAILURE_LATENCY
                     else:
-                        sdp_wait = self.sdp_ok[index] if self.did_sdp[index] else 0.0
+                        sdp_wait = chunk.sdp_ok[index] if chunk.did_sdp[index] else 0.0
                         if op == _OP_L2CAP:
                             manifest = t + scan_wait + sdp_wait
                             detect_extra = COMMAND_TIMEOUT
@@ -1138,7 +1189,7 @@ class _PanuBatch:
                                 t
                                 + scan_wait
                                 + sdp_wait
-                                + self.page[index]
+                                + chunk.page[index]
                                 + hci_command
                                 + SIGNALLING_DELAY
                             )
@@ -1146,13 +1197,13 @@ class _PanuBatch:
                                 # The PAN connection itself came up; the
                                 # IP-socket bind is what fails.
                                 manifest = (
-                                    chained + ROLE_SWITCH_DURATION + self.setup[index]
+                                    chained + ROLE_SWITCH_DURATION + chunk.setup[index]
                                 )
                                 connected = True
                                 self.connects += 1
-                                latent = self.latent[index]
+                                latent = chunk.latent[index]
                                 age = 0
-                                cycles_left = self.cpc[index]
+                                cycles_left = chunk.cpc[index]
                                 cycle_on_connection = 0
                             else:
                                 manifest = chained
@@ -1167,7 +1218,7 @@ class _PanuBatch:
                     if detect > duration:
                         break
                     t, completed, scope = self._handle_failure(
-                        detect, failure, activation, index, 0,
+                        detect, failure, activation, chunk, index, 0,
                         cycle_on_connection, app_name,
                     )
                     if not completed:
@@ -1177,28 +1228,28 @@ class _PanuBatch:
                     if scope >= 4:
                         cycles_left = 0
                     continue
-                t += self.connect_overhead[index]
+                t += chunk.connect_overhead[index]
                 if t > duration:
                     break
                 connected = True
                 self.connects += 1
-                latent = self.latent[index]
+                latent = chunk.latent[index]
                 age = 0
-                cycles_left = self.cpc[index]
+                cycles_left = chunk.cpc[index]
                 cycle_on_connection = 0
 
             cycle_on_connection += 1
-            status = self.status[index]
-            event_index = self.event_index[index]
-            transfer_s = self.transfer_s[index]
+            status = chunk.status[index]
+            event_index = chunk.event_index[index]
+            transfer_s = chunk.transfer_s[index]
             if latent:
-                status, event_index, transfer_s = self._resolve_latent(index, age)
+                status, event_index, transfer_s = self._resolve_latent(chunk, index, age)
 
             if status == TRANSFER_COMPLETED:
                 t += transfer_s * dilation
                 if t > duration:
                     break
-                age += self.n_payloads[index]
+                age += chunk.n_payloads[index]
                 cycles_left -= 1
                 if cycles_left <= 0:
                     connected = False
@@ -1215,7 +1266,7 @@ class _PanuBatch:
                 if detect > duration:
                     break
                 age += event_index
-                packets_sent = age // self.per_logical[index]
+                packets_sent = age // chunk.per_logical[index]
                 connected = False
                 failure = UserFailureType.PACKET_LOSS
             else:
@@ -1228,7 +1279,7 @@ class _PanuBatch:
             activation = injector.activate(failure, traits)
             self._emit_evidence(activation, detect)
             t, completed, scope = self._handle_failure(
-                detect, failure, activation, index, packets_sent,
+                detect, failure, activation, chunk, index, packets_sent,
                 cycle_on_connection, app_name,
             )
             if not completed:
@@ -1246,30 +1297,32 @@ class _PanuBatch:
                 key = PACKET_TYPE_ORDER[k].code
                 counts[key] = counts.get(key, 0) + span_counts[k]
 
-    def _resolve_latent(self, index: int, age: int) -> Tuple[int, int, float]:
+    def _resolve_latent(
+        self, chunk: _Chunk, index: int, age: int
+    ) -> Tuple[int, int, float]:
         """Re-resolve one transfer under the infant-mortality hazard."""
-        n_payloads = self.n_payloads[index]
+        n_payloads = chunk.n_payloads[index]
         break_index = latent_break_index(
-            self.u_break[index],
-            self.h_const[index],
-            cal.LINK_BREAK_HAZARD * self.app_mult[index],
+            chunk.u_break[index],
+            chunk.h_const[index],
+            cal.LINK_BREAK_HAZARD * chunk.app_mult[index],
             cal.LATENT_HAZARD_MULTIPLIER,
             cal.LATENT_DEFECT_PACKETS,
             float(age),
             n_payloads,
         )
         mismatch_index = (
-            self.mismatch_index[index] if self.mismatch_has[index] else None
+            chunk.mismatch_index[index] if chunk.mismatch_has[index] else None
         )
         if mismatch_index is not None and (
             break_index is None or mismatch_index < break_index
         ):
             payloads = mismatch_index + 1
-            return 2, mismatch_index, payloads * self.per_payload[index]
+            return 2, mismatch_index, payloads * chunk.per_payload[index]
         if break_index is not None:
             payloads = break_index + 1
-            return 1, break_index, payloads * self.per_payload[index]
-        return 0, n_payloads, n_payloads * self.per_payload[index]
+            return 1, break_index, payloads * chunk.per_payload[index]
+        return 0, n_payloads, n_payloads * chunk.per_payload[index]
 
 
 def execute_batch_campaign(

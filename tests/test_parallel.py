@@ -147,14 +147,6 @@ class TestSweepDeterminism:
             shard.total_items for shard in serial_sweep.shards
         )
 
-    def test_merged_cycle_stats_sum(self, serial_sweep):
-        merged = serial_sweep.merged_cycle_stats()
-        for testbed in ("random", "realistic"):
-            assert merged[testbed]["cycles"] == sum(
-                shard.cycle_stats[testbed]["cycles"]
-                for shard in serial_sweep.shards
-            )
-
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             run_sweep(2, jobs=0, spec=SPEC)
