@@ -5,7 +5,8 @@ i) extracts the failure data appended to the Test Log and the System Log
 since its previous visit, ii) filters them, and iii) sends the result to
 the central repository.  Here it is a simulation process that wakes on a
 fixed period (with a small phase offset per node so daemons do not fire
-in lock-step).
+in lock-step).  Once a round has shipped, the node's logs rotate: what
+has been shipped is not held (:meth:`AppendOnlyLog.release`).
 """
 
 from __future__ import annotations
@@ -48,11 +49,17 @@ class LogAnalyzer:
         self.filter_stats = FilterStats()
 
     def collect_once(self) -> None:
-        """Run one extract/filter/ship round immediately."""
-        test_batch = self.test_log.since(self._test_cursor)
-        self._test_cursor = self.test_log.cursor
-        system_batch = self.system_log.since(self._system_cursor)
-        self._system_cursor = self.system_log.cursor
+        """Run one extract/filter/ship round immediately, then rotate the logs.
+
+        The repository now holds (the filtered part of) the batch, so
+        the logs release it: each node keeps only what it appended since
+        this round.
+        """
+        test_log, system_log = self.test_log, self.system_log
+        test_batch = test_log.since(self._test_cursor)
+        self._test_cursor = test_log.cursor
+        system_batch = system_log.since(self._system_cursor)
+        self._system_cursor = system_log.cursor
 
         kept_system, stats = filter_system_records(system_batch)
         self._merge_stats(stats)
@@ -60,6 +67,8 @@ class LogAnalyzer:
         self.shipped_test += self.repository.ingest_test(test_batch)
         self.shipped_system += self.repository.ingest_system(kept_system)
         self.rounds += 1
+        test_log.release(self._test_cursor)
+        system_log.release(self._system_cursor)
 
     def _merge_stats(self, stats: FilterStats) -> None:
         self.filter_stats.total += stats.total

@@ -5,8 +5,10 @@ in two files (paper §3): the *Test Log*, containing user-level failure
 reports, and the *System Log*, containing the error information
 registered by applications and system daemons.  Here both are
 append-only in-memory sequences with a cursor API used by the
-LogAnalyzer daemon to extract "what's new since my last visit"; the
-central repository persists what it ships.
+LogAnalyzer daemon to extract "what's new since my last visit".  The
+central repository persists what it ships, so the daemon then rotates
+the log: a node holds only the records it has not shipped yet, and a
+long campaign's logs stay as small as one collection period.
 """
 
 from __future__ import annotations
@@ -22,11 +24,19 @@ RecordT = TypeVar("RecordT")
 
 
 class AppendOnlyLog(Generic[RecordT]):
-    """An append-only record log with monotone timestamps and cursors."""
+    """An append-only record log with monotone timestamps and cursors.
+
+    Positions are absolute: record ``n`` keeps position ``n`` for the
+    log's lifetime, whatever :meth:`release` has dropped before it.  The
+    log holds the records from its base (the first position not yet
+    released) up to :attr:`cursor`; ``len()``, iteration and
+    :meth:`records` see only those.
+    """
 
     def __init__(self, node: str) -> None:
         self.node = node
         self._records: List[RecordT] = []
+        self._base = 0
 
     def append(self, record: RecordT) -> None:
         self._records.append(record)
@@ -38,19 +48,41 @@ class AppendOnlyLog(Generic[RecordT]):
         return iter(self._records)
 
     def records(self) -> Sequence[RecordT]:
-        """All records appended so far (do not mutate)."""
+        """The records still held, oldest first (do not mutate)."""
         return self._records
 
     def since(self, cursor: int) -> List[RecordT]:
-        """Records appended at or after position ``cursor``."""
+        """Records appended at or after absolute position ``cursor``.
+
+        Raises ``ValueError`` when ``cursor`` lies before the log's base:
+        those records were released and cannot be returned.
+        """
         if cursor < 0:
             raise ValueError(f"negative cursor: {cursor}")
-        return self._records[cursor:]
+        if cursor < self._base:
+            raise ValueError(
+                f"cursor {cursor} of log {self.node!r} precedes its base "
+                f"{self._base}: those records were released"
+            )
+        return self._records[cursor - self._base:]
+
+    def release(self, cursor: int) -> None:
+        """Drop every record before absolute position ``cursor``.
+
+        The LogAnalyzer calls this once a batch is shipped; a cursor at
+        or before the log's base releases nothing.
+        """
+        if cursor > self.cursor:
+            raise ValueError(f"cursor {cursor} is past the log's end {self.cursor}")
+        drop = cursor - self._base
+        if drop > 0:
+            del self._records[:drop]
+            self._base = cursor
 
     @property
     def cursor(self) -> int:
         """Position just past the last record (pass back to :meth:`since`)."""
-        return len(self._records)
+        return self._base + len(self._records)
 
 
 class TestLog(AppendOnlyLog[TestLogRecord]):

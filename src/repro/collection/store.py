@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 from contextlib import contextmanager
 from operator import itemgetter
 from pathlib import Path
@@ -381,6 +380,33 @@ def check_rows(payload: Dict[str, List[Row]]) -> None:
             raise ValueError(f"repository payload {kind!r} records are not {width}-column rows")
 
 
+#: Row positions of the text columns, whose values repeat across rows
+#: (a node name, a facility, one of a few hundred messages).  Every
+#: system column after ``time`` is text.
+_TEST_TEXT = (NODE, TESTBED, WORKLOAD, MESSAGE, PHASE, PACKET_TYPE, RECOVERY)
+_SYSTEM_TEXT = tuple(range(TIME + 1, len(_SYSTEM_COLUMNS)))
+
+
+def share_text(payload: Dict[str, List[Row]]) -> None:
+    """Make the equal text cells of a decoded repository payload one object.
+
+    ``json.loads`` builds a new ``str`` for every cell, so a shard read
+    back from a cache entry or a worker reply holds each node name,
+    facility and message once per row: more than twice the memory of
+    the same rows as the simulator built them.  A memo per payload maps every text to
+    its first occurrence; list rows (as decoded) are updated in place
+    and stay equal to what they were, tuple rows are left as they are.
+    """
+    memo: Dict[Any, Any] = {}
+    share = memo.setdefault
+    for kind, positions in (("test", _TEST_TEXT), ("system", _SYSTEM_TEXT)):
+        for row in payload[kind]:
+            if type(row) is list:
+                for index in positions:
+                    cell = row[index]
+                    row[index] = share(cell, cell)
+
+
 def _system_record(row: Row) -> SystemLogRecord:
     """Rebuild a system-level entry from its row (reader side)."""
     time, node, _, facility, severity, message = row
@@ -479,8 +505,10 @@ class SQLiteStore:
     One table per record stream with typed columns, covering indexes
     on ``(time)``, ``(node, time)`` and ``(testbed, time)``, streaming
     ``executemany`` ingestion, and streaming query cursors — so a
-    1000-seed sweep's record stream can be ingested and analysed
-    shard-by-shard without ever materialising it in RAM.  Rows cross
+    record stream is ingested and analysed shard by shard, without
+    building it as one list.  (``api.sweep(store=...)`` still holds
+    every shard's rows in :attr:`SweepResult.shards` until it spills
+    them, so its peak grows with the seed count.)  Rows cross
     the SQLite boundary unchanged in both directions: the row format
     above, in the order of one column tuple per table
     (``_TEST_COLUMNS``, ``_SYSTEM_COLUMNS``), which also generates the
@@ -498,6 +526,11 @@ class SQLiteStore:
     """
 
     def __init__(self, path: PathLike = ":memory:", *, indexes: bool = True) -> None:
+        # Imported here, not at module level: the row format and the
+        # in-memory repository need no SQLite, so only a process that
+        # opens a store pays for loading it (~1.4 MB of RSS).
+        import sqlite3
+
         self.path: Optional[Path] = None if str(path) == ":memory:" else Path(path)
         existing = self.path is not None and self.path.exists() and self.path.stat().st_size > 0
         if self.path is not None:
@@ -532,6 +565,8 @@ class SQLiteStore:
             self._conn.execute(statement)
 
     def _validate(self) -> None:
+        import sqlite3
+
         try:
             row = self._conn.execute("SELECT doc FROM store_meta").fetchone()
         except sqlite3.DatabaseError as error:

@@ -55,8 +55,11 @@ def _gc_paused() -> Iterator[None]:
     A campaign allocates heavily but almost everything dies by reference
     counting; the generational collector only finds the few cycles left
     by exception tracebacks, at the price of scanning every young
-    allocation.  Collection resumes (and catches up naturally) as soon
-    as the loop exits.  No-op when the caller already disabled gc.
+    allocation.  Collection resumes as soon as the loop exits.  Teardown
+    does not wait for it either: :meth:`Simulator.close` breaks the
+    cycles between processes, events and the simulator, so a summarised
+    replicate is freed by reference counting.  No-op when the caller
+    already disabled gc.
     """
     if not gc.isenabled():
         yield

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.collection.repository import CentralRepository
-from repro.collection.store import Row, check_rows
+from repro.collection.store import Row, check_rows, share_text
 from repro.core.campaign import CampaignResult, CampaignSpec
 from repro.core.summary import campaign_statistics, importance_estimates
 from repro.obs.journal import (
@@ -156,6 +156,7 @@ class ShardResult:
                 f"!= {PAYLOAD_VERSION}"
             )
         check_rows(payload["repository"])
+        share_text(payload["repository"])
         return cls(
             seed=int(payload["seed"]),
             duration=float(payload["duration"]),
@@ -292,6 +293,7 @@ def _instrumented_shard(
             )
             wall_time = time.perf_counter() - started
             shard = ShardResult.from_campaign(result, wall_time=wall_time, spec=spec)
+            result.sim.close()
             rate = shard.events / wall_time if wall_time > 0 else 0.0
             writer.emit(
                 SHARD_COMPLETED,
@@ -348,9 +350,13 @@ def run_shard(
     if telemetry is not None:
         return _instrumented_shard(spec, observability, telemetry, started)
     result = spec._execute(observability=observability)
-    return ShardResult.from_campaign(
+    shard = ShardResult.from_campaign(
         result, wall_time=time.perf_counter() - started, spec=spec
     )
+    # The summary is all a sweep keeps: free the replicate now, by
+    # reference counting, rather than at the next full collection.
+    result.sim.close()
+    return shard
 
 
 __all__ = ["PAYLOAD_VERSION", "ShardResult", "run_shard"]

@@ -134,13 +134,16 @@ class SweepResult:
         The out-of-core replacement for :attr:`repository`: each shard's
         ``repository_payload`` rows go to ``executemany`` as they are
         (:meth:`~repro.collection.store.SQLiteStore.ingest_payload`), one
-        shard at a time in canonical (ascending-seed) order, so peak
-        memory is a single shard, never the merged stream.  Because the
-        in-memory merge concatenates shard row lists in exactly this
-        order before its stable time-sort, the store's iteration order
-        (``ORDER BY time, id``) matches the merged repository record for
-        record, and every streaming analysis is byte-identical over
-        either.
+        shard at a time in canonical (ascending-seed) order, so the
+        merged stream is never built as one list or repository.  The
+        shards themselves are all held until the spill, though:
+        :attr:`shards` keeps every ``repository_payload`` (~0.35 MB of
+        rows per 12 h shard), so the sweep's peak grows with its seed
+        count.  Because the in-memory merge concatenates shard row lists
+        in exactly this order before its stable time-sort, the store's
+        iteration order (``ORDER BY time, id``) matches the merged
+        repository record for record, and every streaming analysis is
+        byte-identical over either.
 
         All shards go in as one transaction into a fresh store at a
         sibling temp path, which ``os.replace`` then publishes

@@ -65,30 +65,38 @@ def standard_actions() -> List[SiraAction]:
     ]
 
 
-class RecoveryEngine:
-    """Runs the SIRA cascade for one node's workload.
+def _no_side_effect(level: int) -> None:
+    """The side effect of a cascade whose owner clears no state."""
 
-    ``side_effect`` is invoked with the level of every *attempted*
-    action so the owning node can apply the matching state clearing
-    (drop the connection, reset the stack, restart the app, reboot).
-    """
+
+class RecoveryEngine:
+    """Runs the SIRA cascade for one node's workload."""
 
     def __init__(
         self,
         rng: random.Random,
-        side_effect: Optional[Callable[[int], None]] = None,
         actions: Optional[List[SiraAction]] = None,
         sim: Optional[Simulator] = None,
     ) -> None:
         self._rng = rng
-        self._side_effect = side_effect or (lambda level: None)
         self.actions = actions or standard_actions()
         self._sim = sim
         self.recoveries = 0
         self.unrecovered = 0
 
-    def recover(self, error: BTError) -> Generator:
+    def recover(
+        self,
+        error: BTError,
+        side_effect: Optional[Callable[[int], None]] = None,
+    ) -> Generator:
         """Run the cascade until the failure clears.
+
+        ``side_effect`` is invoked with the level of every *attempted*
+        action so the owning node can apply the matching state clearing
+        (drop the connection, reset the stack, restart the app, reboot).
+        It is passed per cascade rather than stored on the engine: the
+        owner holds the engine, and a stored bound method of the owner
+        would tie the two into a cycle only the cyclic collector frees.
 
         Returns the list of :class:`RecoveryAttempt` records (empty when
         the failure defines no recovery, e.g. data mismatch).
@@ -106,13 +114,14 @@ class RecoveryEngine:
         scope = getattr(error, "scope", 1)
         if scope <= 0:
             return attempts  # no recovery defined (data mismatch)
+        effect = side_effect or _no_side_effect
         sim = self._sim
         if sim is None:
             # Stepwise cascade for engines wired without a simulator.
             for action in self.actions:
                 duration = action.sample_duration(self._rng)
                 yield Timeout(duration)
-                self._side_effect(action.level)
+                effect(action.level)
                 succeeded = action.level >= scope
                 attempts.append(
                     RecoveryAttempt(
@@ -137,7 +146,7 @@ class RecoveryEngine:
             if succeeded or action.level >= 6:
                 yield SleepUntil(deadline)
                 for level in pending:
-                    self._side_effect(level)
+                    effect(level)
                 pending.clear()
                 if succeeded:
                     self.recoveries += 1
@@ -145,7 +154,7 @@ class RecoveryEngine:
         if pending:
             yield SleepUntil(deadline)
             for level in pending:
-                self._side_effect(level)
+                effect(level)
         self.unrecovered += 1
         return attempts
 

@@ -241,6 +241,16 @@ class _ScalarDraws:
     def lognormvariate(self, mu: float, sigma: float) -> float:
         return math.exp(mu + sigma * self.gauss())
 
+    def release(self) -> None:
+        """Drop the buffers and the substream once the owner is done drawing.
+
+        A listified buffer is ~0.26 MB; a later draw raises instead of
+        silently restarting the stream past the unread values.
+        """
+        self._gen = None
+        self._uniforms = []
+        self._normals = []
+
 
 class _NodeSink:
     """System-log record buffer standing in for one host's SystemLog."""
@@ -1296,6 +1306,8 @@ class _PanuBatch:
             if span_counts[k]:
                 key = PACKET_TYPE_ORDER[k].code
                 counts[key] = counts.get(key, 0) + span_counts[k]
+        # Like the chunk, the failure draws' buffers die with the run.
+        self.frng.release()
 
     def _resolve_latent(
         self, chunk: _Chunk, index: int, age: int

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from time import perf_counter  # repro: allow[DET002] profiler hook wall time; never feeds sim time
-from typing import Callable, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 
 class ProfilerHook(Protocol):
@@ -180,6 +180,9 @@ class Simulator:
         self._cancelled = 0  # cancelled events still lingering in the heap
         self._free: List[EventHandle] = []  # recyclable event free-list
         self._profiler: Optional[ProfilerHook] = None
+        # Live processes, in spawn order: each holds its own resume
+        # method, so only :meth:`close` can let go of it.
+        self._processes: Dict[object, None] = {}
 
     @property
     def now(self) -> float:
@@ -495,6 +498,33 @@ class Simulator:
         if time > self._now:
             self._now = time
         return count
+
+    def close(self) -> None:
+        """Tear the simulator down so its object graph dies by reference counting.
+
+        Every live process stops and drops its generator, every queued
+        event loses its callback, and the queue and free-list empty.
+        That breaks the reference cycles a run leaves behind (a process
+        and its own resume method, a queued event and the process it
+        resumes, a periodic timer and its event, events and the
+        simulator), so dropping the last reference to the simulator, its
+        processes and its owners frees them at once instead of waiting
+        for a full cyclic collection.  The simulator cannot run again.
+        """
+        processes = list(self._processes)
+        self._processes.clear()
+        for process in processes:
+            process._release()  # type: ignore[attr-defined]
+        for entry in self._queue:
+            event = entry[3]
+            event.callback = None
+            event._sim = None
+        for event in self._free:
+            event._sim = None
+        self._queue.clear()
+        self._free.clear()
+        self._cancelled = 0
+        self._profiler = None
 
     # -- accounting --------------------------------------------------------
 

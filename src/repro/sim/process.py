@@ -154,6 +154,7 @@ class Process:
         # resumes the generator with None, which is _step_send's default,
         # so the engine calls _step_send directly (no wrapper frame).
         self._on_timeout = self._step_send
+        sim._processes[self] = None
         # Start the process at the current instant.  The start event is
         # recyclable: nothing holds its handle, it can never be cancelled.
         sim._schedule_timeout(0.0, self._on_timeout)
@@ -294,10 +295,29 @@ class Process:
                 TypeError(f"process yielded unsupported value: {yielded!r}")
             )
 
+    def _release(self) -> None:
+        """Stop for good and drop the generator (:meth:`Simulator.close`).
+
+        Breaks the cycles through this process — its own resume method,
+        and the generator frame whose locals reach back to the objects
+        (events, connections) that hold the process.
+        """
+        self._alive = False
+        self._on_timeout = None  # type: ignore[assignment]
+        self._gen = None  # type: ignore[assignment]
+        self._pending_timeout = None
+        self._waiting_on = None
+        self._waiting_on_proc = None
+        self._waiters = []
+
     def _finish(
         self, result: Any = None, exception: Optional[BaseException] = None
     ) -> None:
         self._alive = False
+        # A finished process never waits again: dropping its resume
+        # method ends the only cycle through it.
+        self._on_timeout = None  # type: ignore[assignment]
+        self._sim._processes.pop(self, None)
         self._result = result
         self._exception = exception
         waiters, self._waiters = self._waiters, []

@@ -80,9 +80,7 @@ class BlueTestClient:
         self.testbed_name = testbed_name
         self.stats = CycleStats()
         self.retry_masker = RetryMasker(rng)
-        self.recovery = RecoveryEngine(
-            rng, side_effect=self._recovery_side_effect, sim=sim
-        )
+        self.recovery = RecoveryEngine(rng, sim=sim)
         self._connection: Optional[PanConnection] = None
         self._cycles_left_on_connection = 0
         self._cycle_index_on_connection = 0
@@ -184,7 +182,9 @@ class BlueTestClient:
             self._record(error, params, packet_type, masked=True, attempts=())
             return None
         self.stats.failures += 1
-        attempts = yield from self.recovery.recover(error)
+        attempts = yield from self.recovery.recover(
+            error, self._recovery_side_effect
+        )
         self._record(error, params, packet_type, masked=False, attempts=attempts)
         return None
 

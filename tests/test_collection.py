@@ -76,6 +76,33 @@ class TestLogs:
         with pytest.raises(ValueError):
             WorkloadTestLog("t:n").since(-1)
 
+    def test_release_keeps_positions_absolute(self):
+        log = WorkloadTestLog("t:n")
+        for t in (0.0, 1.0, 2.0):
+            log.append(make_report(time=t))
+        log.release(2)
+        assert (log.cursor, len(log)) == (3, 1)
+        assert [r.time for r in log.since(2)] == [2.0]
+        assert log.since(3) == []
+        log.append(make_report(time=3.0))
+        assert [r.time for r in log.since(3)] == [3.0]
+        log.release(1)  # already released: a no-op
+        assert (log.cursor, len(log)) == (4, 2)
+
+    def test_since_a_released_position_raises(self):
+        log = WorkloadTestLog("t:n")
+        log.append(make_report())
+        log.append(make_report(time=1.0))
+        log.release(2)
+        with pytest.raises(ValueError, match="released"):
+            log.since(1)
+
+    def test_release_past_the_end_rejected(self):
+        log = WorkloadTestLog("t:n")
+        log.append(make_report())
+        with pytest.raises(ValueError):
+            log.release(2)
+
     def test_system_log_renders_known_vocabulary(self):
         log = SystemLog("t:n", random.Random(0))
         log.set_time(5.0)
@@ -179,6 +206,22 @@ class TestLogAnalyzer:
         assert repo.user_level_count == 1
         assert repo.system_level_count == 1
         assert analyzer.filter_stats.dropped_severity == 1
+
+    def test_collect_once_rotates_the_logs(self):
+        repo = CentralRepository()
+        test_log = WorkloadTestLog("t:n")
+        system_log = SystemLog("t:n", random.Random(0))
+        analyzer = LogAnalyzer("t:n", test_log, system_log, repo)
+        test_log.append(make_report())
+        system_log.error(SystemFailureType.HCI, "timeout")
+        system_log.info("cron", "cron: noise")
+        analyzer.collect_once()
+        assert (len(test_log), test_log.cursor) == (0, 1)
+        assert (len(system_log), system_log.cursor) == (0, 2)
+        test_log.append(make_report(time=5.0))
+        analyzer.collect_once()
+        assert repo.user_level_count == 2
+        assert (len(test_log), test_log.cursor) == (0, 2)
 
     def test_cursor_prevents_double_shipping(self):
         repo = CentralRepository()

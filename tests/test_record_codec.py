@@ -263,3 +263,20 @@ def test_shard_payload_matches_reference_and_cache_serves_it(fidelity, tmp_path)
         assert served.to_payload() == reference
         rewritten = ShardCache(tmp_path / "rewritten").put("sweep", shard.seed, served)
         assert rewritten.read_bytes() == path.read_bytes()
+
+
+def test_decoded_payload_shares_its_text():
+    from repro.parallel.shard import ShardResult
+
+    shard = api.sweep(1, jobs=1, backend="serial", duration=3600.0, seed=35651).shards[0]
+    text = json.dumps(shard.to_payload())
+    decoded = ShardResult.from_payload(json.loads(text))
+    assert decoded.to_payload() == json.loads(text)
+    for kind, columns in (("test", _TEST_COLUMNS), ("system", _SYSTEM_COLUMNS)):
+        rows = decoded.repository_payload[kind]
+        assert rows
+        for index, column in enumerate(columns):
+            cells = [row[index] for row in rows]
+            if isinstance(cells[0], str):
+                # One object per distinct text, however many rows hold it.
+                assert len({id(cell) for cell in cells}) == len(set(cells)), column

@@ -44,8 +44,8 @@ class TestRecoveryEngine:
     def run_recovery(self, error, seed=0):
         sim = Simulator()
         levels = []
-        engine = RecoveryEngine(random.Random(seed), side_effect=levels.append)
-        attempts = drive(sim, engine.recover(error))
+        engine = RecoveryEngine(random.Random(seed))
+        attempts = drive(sim, engine.recover(error, levels.append))
         return sim, engine, attempts, levels
 
     def test_cascade_stops_at_scope(self):

@@ -286,3 +286,64 @@ class TestSleepUntil:
         spawn(sim, proc())
         sim.run()
         assert sim.free_list_size >= 1
+
+
+class TestClose:
+    """Simulator.close() leaves nothing for the cyclic collector."""
+
+    def test_close_frees_processes_events_and_timers_by_refcount(self):
+        import gc
+        import weakref
+
+        class Owner:
+            pass
+
+        class Ticker:
+            def __init__(self, sim):
+                self.sim = sim
+                self.ticks = 0
+
+            def tick(self):
+                self.ticks += 1
+
+        gc.collect()
+        gc.disable()
+        try:
+            sim = Simulator()
+            owner = Owner()
+            owner.sim = sim
+            gate = SimEvent(sim)
+            owner.gate = gate
+
+            def sleeper(owner):
+                while True:
+                    yield Timeout(1.0)
+
+            def waiter(owner):
+                yield owner.gate
+
+            owner.procs = [spawn(sim, sleeper(owner)), spawn(sim, waiter(owner))]
+            owner.timer = sim.schedule_periodic(2.0, Ticker(sim).tick)
+            sim.run_until(5.0)
+            assert all(proc.alive for proc in owner.procs)
+            alive = weakref.ref(owner)
+            sim.close()
+            assert not any(proc.alive for proc in owner.procs)
+            assert sim.pending_events() == 0 and sim.free_list_size == 0
+            del owner, sim, gate
+            assert alive() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_finished_process_drops_its_resume_method(self):
+        sim = Simulator()
+
+        def body():
+            yield Timeout(1.0)
+
+        proc = spawn(sim, body())
+        sim.run()
+        assert not proc.alive
+        assert proc._on_timeout is None
+        assert not sim._processes
