@@ -11,9 +11,7 @@ has been shipped is not held (:meth:`AppendOnlyLog.release`).
 
 from __future__ import annotations
 
-from typing import Generator
-
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 from .filtering import FilterStats, filter_system_records
 from .logs import SystemLog, TestLog
 from .repository import CentralRepository
@@ -41,8 +39,11 @@ class LogAnalyzer:
         self.repository = repository
         self.period = period
         self.phase = phase
-        self._test_cursor = 0
-        self._system_cursor = 0
+        # The first round ships only what the logs receive after this
+        # point: batch fidelity builds its analyzers over logs whose
+        # out-of-order buffer it has just released.
+        self._test_cursor = test_log.cursor
+        self._system_cursor = system_log.cursor
         self.rounds = 0
         self.shipped_test = 0
         self.shipped_system = 0
@@ -75,18 +76,6 @@ class LogAnalyzer:
         self.filter_stats.dropped_severity += stats.dropped_severity
         self.filter_stats.dropped_facility += stats.dropped_facility
         self.filter_stats.dropped_duplicate += stats.dropped_duplicate
-
-    def run(self) -> Generator:
-        """Simulation process: collect every ``period`` seconds, forever.
-
-        Generator-based variant kept for embedding the analyzer in a
-        larger process; :meth:`start` uses the allocation-free periodic
-        timer instead.
-        """
-        yield Timeout(self.phase)
-        while True:
-            yield Timeout(self.period)
-            self.collect_once()
 
     def start(self, sim: Simulator):
         """Arm the daemon on ``sim``; returns its periodic-timer handle.

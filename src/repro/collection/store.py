@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from contextlib import contextmanager
 from operator import itemgetter
 from pathlib import Path
@@ -77,9 +78,13 @@ class StoreVersionError(StoreError):
 
 
 def testbed_of(node: str) -> str:
-    """Testbed prefix of a qualified node name (``"random:Rosso"`` → ``"random"``)."""
+    """Testbed prefix of a qualified node name (``"random:Rosso"`` → ``"random"``).
+
+    Interned, so every system row of one testbed shares one string
+    rather than holding a copy each.
+    """
     head, _, _ = node.partition(":")
-    return head
+    return sys.intern(head)
 
 
 # -- shared atomic-write discipline -----------------------------------------

@@ -17,6 +17,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -38,6 +39,7 @@ from repro.workload.traffic import (
     FixedLengthWorkload,
     RandomWorkload,
     RealisticWorkload,
+    WorkloadModel,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,6 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DAY = 86_400.0
 #: Default campaign length used by examples and benchmarks.
 DEFAULT_DURATION = 2 * DAY
+
+#: The workload model each named testbed runs, by default.
+_WORKLOAD_MODELS: Mapping[str, Callable[[], WorkloadModel]] = {
+    "random": RandomWorkload,
+    "realistic": RealisticWorkload,
+}
 
 
 @contextlib.contextmanager
@@ -203,9 +211,9 @@ class CampaignResult:
     #: the metrics registry, the propagation tracer and the engine
     #: profiler for post-run export.
     observability: Optional[Observability] = None
-    #: Engine events processed during the main run loop, not counting
-    #: the progress probe's own firings (0 when unknown, e.g. results
-    #: built by legacy paths).
+    #: Work done during the main run loop: engine events, not counting
+    #: the progress probe's own firings, on the bit path; connection
+    #: cycles in batch fidelity, which has no event engine.
     events_processed: int = 0
     #: Columnar store the run's records were spilled to when
     #: ``ExperimentConfig(store=...)`` asked for one (None otherwise).
@@ -266,8 +274,9 @@ def _execute_campaign(
     on_progress: Optional[Callable[[Simulator], None]] = None,
     progress_interval: Optional[float] = None,
     tuning: Optional["InjectorTuning"] = None,
+    models: Mapping[str, Callable[[], WorkloadModel]] = _WORKLOAD_MODELS,
 ) -> CampaignResult:
-    """The campaign executor behind :mod:`repro.api` and the shims.
+    """The bit-fidelity executor behind :mod:`repro.api` and the bit variants.
 
     Pass an :class:`~repro.obs.Observability` bundle to instrument the
     run: it is activated around testbed construction and execution (so
@@ -281,13 +290,12 @@ def _execute_campaign(
     probe fires at maximum tie-break priority — strictly *after* every
     ordinary event at the same instant — and must not schedule or mutate
     sim state, so arming it cannot perturb the campaign's event order.
+
+    ``models`` maps each testbed name of ``workloads`` to the workload
+    model its PANUs run.
     """
     if duration <= 0:
         raise ValueError("campaign duration must be positive")
-    factories: Dict[str, Callable] = {
-        "random": RandomWorkload,
-        "realistic": RealisticWorkload,
-    }
     sim = Simulator()
     streams = RandomStreams(seed)
     repository = CentralRepository()
@@ -299,12 +307,12 @@ def _execute_campaign(
     )
     with scope:
         for name in workloads:
-            if name not in factories:
+            if name not in models:
                 raise ValueError(f"unknown workload: {name!r}")
             bed = Testbed(
                 sim,
                 name,
-                factories[name],
+                models[name],
                 repository,
                 streams,
                 masking=masking,
@@ -363,29 +371,13 @@ def run_connection_length_experiment(
     N fixed to 10000 packets, L_S = L_R = 1691 bytes (the BNEP MTU),
     run (in the paper) for two months on exactly those two machines.
     """
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    repository = CentralRepository()
-    bed = Testbed(
-        sim,
-        "random",
-        FixedLengthWorkload,
-        repository,
-        streams,
-        masking=MaskingPolicy.all_off(),
-        profiles=(GIALLO, VERDE, WIN),
-    )
-    bed.start()
-    with _gc_paused():
-        sim.run_until(duration)
-    bed.final_collection()
-    return CampaignResult(
+    return _execute_campaign(
         duration=duration,
         seed=seed,
-        masking=MaskingPolicy.all_off(),
-        repository=repository,
-        testbeds={"random": bed},
-        sim=sim,
+        workloads=("random",),
+        profiles=(GIALLO, VERDE, WIN),
+        hardware_replacement=False,
+        models={"random": FixedLengthWorkload},
     )
 
 

@@ -19,13 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.collection.repository import CentralRepository
-from repro.core.campaign import CampaignResult, DEFAULT_DURATION
+from repro.core.campaign import CampaignResult, DEFAULT_DURATION, _execute_campaign
 from repro.faults.injector import InjectorTuning
 from repro.recovery.masking import MaskingPolicy
-from repro.sim import RandomStreams, Simulator
-from repro.testbed.testbed import Testbed
-from repro.workload.traffic import RandomWorkload, RealisticWorkload
 
 
 @dataclass(frozen=True)
@@ -51,31 +47,13 @@ def run_enhanced_campaign(
 ) -> CampaignResult:
     """Run a campaign whose testbeds use the enhanced-stack bundle."""
     config = config or EnhancedStackConfig()
-    factories = {"random": RandomWorkload, "realistic": RealisticWorkload}
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    repository = CentralRepository()
-    testbeds = {}
-    for name in workloads:
-        if name not in factories:
-            raise ValueError(f"unknown workload: {name!r}")
-        bed = Testbed(
-            sim, name, factories[name], repository, streams,
-            masking=config.masking,
-        )
-        bed.injector.tuning = config.tuning
-        bed.start()
-        testbeds[name] = bed
-    sim.run_until(duration)
-    for bed in testbeds.values():
-        bed.final_collection()
-    return CampaignResult(
+    return _execute_campaign(
         duration=duration,
         seed=seed,
         masking=config.masking,
-        repository=repository,
-        testbeds=testbeds,
-        sim=sim,
+        workloads=workloads,
+        hardware_replacement=False,
+        tuning=config.tuning,
     )
 
 

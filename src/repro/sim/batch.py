@@ -9,9 +9,11 @@ gates are drawn in bulk (:mod:`repro.bluetooth.batch_channel`) from the
 memoised ``Channel.loss_profile`` closed forms, and a lean scalar loop
 advances each PANU's clock cycle-by-cycle, materialising failure
 reports, SIRA cascades and system-log evidence only where they occur.
-The resulting records feed the existing collection pipeline
-(LogAnalyzer windowing + filtering into :class:`CentralRepository`)
-unchanged, so every downstream analysis runs as-is.
+Each node's entries go into a real :class:`SystemLog` (each PANU's
+reports into a :class:`TestLog`), and the node's own
+:class:`LogAnalyzer` ships them to the :class:`CentralRepository` round
+by round, extracting and filtering exactly as on the bit path, so every
+downstream analysis runs as-is.
 
 Determinism: all randomness comes from prefix-stable SHA-256 substreams
 of the campaign seed — numpy ``Generator(PCG64)`` streams for bulk
@@ -42,6 +44,7 @@ exactly; the bit engine remains the oracle.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -68,8 +71,8 @@ from repro.bluetooth.packets import PACKET_TYPE_ORDER
 from repro.bluetooth.sdp import SEARCH_DELAY_MAX, SEARCH_DELAY_MIN
 from repro.bluetooth.stack import SDP_FAILURE_LATENCY
 from repro.bluetooth.transport import BcspTransport, UartTransport, UsbTransport
-from repro.collection.filtering import filter_system_records
-from repro.collection.log_analyzer import DEFAULT_PERIOD
+from repro.collection.log_analyzer import LogAnalyzer
+from repro.collection.logs import SystemLog, TestLog
 from repro.collection.messages import (
     facility_for,
     render_system_message,
@@ -175,21 +178,6 @@ _MEAN_CPC_REALISTIC = 10.5
 _SCOPE_RECONNECT_RATE = 0.005
 
 
-class _BatchClock:
-    """Duck-typed stand-in for the Simulator consumed by progress probes."""
-
-    __slots__ = ("now",)
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def pending_events(self) -> int:
-        return 0
-
-    def __len__(self) -> int:
-        return 0
-
-
 class _ScalarDraws:
     """Buffered scalar draws backed by a numpy substream.
 
@@ -252,67 +240,45 @@ class _ScalarDraws:
         self._normals = []
 
 
-class _NodeSink:
-    """System-log record buffer standing in for one host's SystemLog."""
-
-    __slots__ = ("node", "vendor", "records")
-
-    def __init__(self, node: str, vendor: str) -> None:
-        self.node = node
-        self.vendor = vendor
-        self.records: List[SystemLogRecord] = []
-
-
-class _BatchClient:
-    """Stats-only stand-in for a BlueTestClient."""
-
-    __slots__ = ("stats",)
-
-    def __init__(self, stats: CycleStats) -> None:
-        self.stats = stats
-
-
-class _BatchNode:
-    """Identifier-only stand-in for a testbed node."""
-
-    __slots__ = ("id", "client")
-
-    def __init__(self, node: str, client: Optional[_BatchClient] = None) -> None:
-        self.id = node
-        self.client = client
-
-
 class _BatchTestbed:
-    """Duck-typed Testbed exposing what CampaignResult accessors read."""
+    """Duck-typed Testbed exposing what CampaignResult accessors read.
+
+    Each PANU is its own node and client (:class:`_PanuBatch`); the NAP
+    is known only by its log identifier.
+    """
 
     __slots__ = ("name", "nap", "panus")
 
-    def __init__(self, name: str, nap: _BatchNode, panus: List[_BatchNode]) -> None:
+    def __init__(self, name: str, nap: str, panus: List["_PanuBatch"]) -> None:
         self.name = name
-        self.nap = nap
+        self.nap = SimpleNamespace(id=nap)
         self.panus = panus
 
-    def clients(self) -> List[_BatchClient]:
-        return [panu.client for panu in self.panus if panu.client is not None]
+    def clients(self) -> List["_PanuBatch"]:
+        return self.panus
 
 
 def _write_error(
-    sink: _NodeSink,
+    log: SystemLog,
     time: float,
     failure: SystemFailureType,
     variant: str,
     peer: Optional[str],
     rng: _ScalarDraws,
 ) -> None:
-    """Render and append one system-log error entry (SystemLog.error)."""
-    message = render_system_message(rng, failure, variant, sink.vendor)  # type: ignore[arg-type]
+    """Render one error entry (as SystemLog.error does) from batch draws.
+
+    Batch draws its message text from its own buffered stream, in its
+    own order, so it renders here and appends through the log.
+    """
+    message = render_system_message(rng, failure, variant, log.vendor)  # type: ignore[arg-type]
     if peer:
         message = f"{message} (peer {peer})"
-    sink.records.append(
+    log.append(
         SystemLogRecord(
             time=time,
-            node=sink.node,
-            facility=facility_for(failure, sink.vendor),
+            node=log.node,
+            facility=facility_for(failure, log.vendor),
             severity="error",
             message=message,
         )
@@ -320,7 +286,7 @@ def _write_error(
 
 
 def _generate_noise(
-    sink: _NodeSink, gen: Any, rng: _ScalarDraws, duration: float
+    log: SystemLog, gen: Any, rng: _ScalarDraws, duration: float
 ) -> None:
     """Spurious background error entries of one host's system log.
 
@@ -339,43 +305,42 @@ def _generate_noise(
     for time in times.tolist():
         failure = rng.choice(error_types)
         variant = rng.choice(variants_for(failure))
-        _write_error(sink, time, failure, variant, None, rng)
+        _write_error(log, time, failure, variant, None, rng)
 
 
-def _collect_node(
-    sink: _NodeSink,
-    test_records: List[TestLogRecord],
-    phase: float,
+def _ship_node(
+    system_log: SystemLog,
+    test_log: TestLog,
+    scoped: RandomStreams,
     duration: float,
     repository: CentralRepository,
 ) -> None:
-    """Replay the LogAnalyzer rounds over one node's record buffers.
+    """Ship one node's buffered entries through its own LogAnalyzer.
 
-    The daemon collects at ``phase + k * DEFAULT_PERIOD``; each round
-    filters only the records appended since the previous round, so the
-    duplicate-suppression state resets per window exactly as
-    ``filter_system_records`` does per call.  The final partial window
-    mirrors ``Testbed.final_collection()``.
+    Batch appends entries out of time order, so they are sorted once
+    and replayed into their logs window by window.  The daemon collects
+    at ``phase + k * period``, with the bit path's phase draw, so every
+    round extracts and filters exactly the entries logged up to it; the
+    last round mirrors ``Testbed.final_collection()``.
     """
-    records = sorted(sink.records, key=lambda record: record.time)
-    kept: List[SystemLogRecord] = []
-    total = len(records)
-    start = 0
-    cutoff = phase + DEFAULT_PERIOD
-    while cutoff <= duration and start < total:
-        end = start
-        while end < total and records[end].time <= cutoff:
-            end += 1
-        if end > start:
-            window_kept, _ = filter_system_records(records[start:end])
-            kept.extend(window_kept)
-            start = end
-        cutoff += DEFAULT_PERIOD
-    if start < total:
-        window_kept, _ = filter_system_records(records[start:])
-        kept.extend(window_kept)
-    repository.ingest_system(kept)
-    repository.ingest_test(test_records)
+    phase = scoped.stream(f"analyzer/{system_log.node}").uniform(0, 60)
+    pending = sorted(
+        [(log, entry) for log in (system_log, test_log) for entry in log.records()],
+        key=lambda item: item[1].time,
+    )
+    system_log.release(system_log.cursor)
+    test_log.release(test_log.cursor)
+    analyzer = LogAnalyzer(system_log.node, test_log, system_log, repository, phase=phase)
+    cutoff = phase + analyzer.period
+    for log, entry in pending:
+        while cutoff < entry.time and cutoff <= duration:
+            analyzer.collect_once()
+            cutoff += analyzer.period
+        log.append(entry)
+    while cutoff <= duration:
+        analyzer.collect_once()
+        cutoff += analyzer.period
+    analyzer.collect_once()
 
 
 def _conditioned_probability(
@@ -542,7 +507,7 @@ class _PanuBatch:
         workload: str,
         profile: NodeProfile,
         nap_profile: NodeProfile,
-        nap_sink: _NodeSink,
+        nap_log: SystemLog,
         injector: FaultInjector,
         scoped: RandomStreams,
         masking: MaskingPolicy,
@@ -557,14 +522,13 @@ class _PanuBatch:
         self.duration = duration
         self.hardware_replacement = hardware_replacement
         self.injector = injector
-        self.node = node_id(testbed_name, profile.name)
-        self.local_sink = _NodeSink(self.node, profile.vendor)
-        self.nap_sink = nap_sink
+        self.id = node_id(testbed_name, profile.name)
+        self.system_log = SystemLog(self.id, vendor=profile.vendor)
+        self.test_log = TestLog(self.id)
+        self.nap_log = nap_log
         self.nap_name = nap_profile.name
         self.stats = CycleStats()
         self.connects = 0
-        self.test_records: List[TestLogRecord] = []
-        self.phase = scoped.stream(f"analyzer/{self.node}").uniform(0, 60)
         self.dilation = 1.0
 
         host = profile.name
@@ -576,7 +540,7 @@ class _PanuBatch:
         # stream only feeds Channel's (unused here) scalar sampler.
         channel = Channel(
             ChannelConfig(distance=max(profile.distance, 0.1)),
-            scoped.stream(f"channel/{self.node}"),
+            scoped.stream(f"channel/{self.id}"),
         )
         profiles = [channel.loss_profile(pt) for pt in PACKET_TYPE_ORDER]
         self._p_drop = np.array([p.p_drop for p in profiles])
@@ -960,9 +924,9 @@ class _PanuBatch:
             if origin is Origin.NONE:
                 continue
             if origin is Origin.LOCAL:
-                sink, peer = self.local_sink, None
+                log, peer = self.system_log, None
             else:
-                sink, peer = self.nap_sink, self.profile.name
+                log, peer = self.nap_log, self.profile.name
             if index == 0:
                 delay = rng.uniform(0.0, 2.0)
             else:
@@ -971,13 +935,13 @@ class _PanuBatch:
                 )
             when = manifest + delay
             if when <= duration:
-                _write_error(sink, when, failure_type, variant, peer, rng)
+                _write_error(log, when, failure_type, variant, peer, rng)
             if rng.random() < REPEAT_PROBABILITY:
                 repeat_delay = delay + rng.uniform(6.0, 60.0)
                 if repeat_delay <= MAX_EVIDENCE_DELAY:
                     when = manifest + repeat_delay
                     if when <= duration:
-                        _write_error(sink, when, failure_type, variant, peer, rng)
+                        _write_error(log, when, failure_type, variant, peer, rng)
 
     def _handle_failure(
         self,
@@ -1034,10 +998,10 @@ class _PanuBatch:
             if t > duration:
                 return t, False, scope
         packet_type = PACKET_TYPE_ORDER[chunk.pt_index[index]]
-        self.test_records.append(
+        self.test_log.append(
             TestLogRecord(
                 time=t,
-                node=self.node,
+                node=self.id,
                 testbed=self.testbed_name,
                 workload=app_name,
                 message=render_user_message(rng, failure),  # type: ignore[arg-type]
@@ -1363,9 +1327,11 @@ def execute_batch_campaign(
         raise ValueError("campaign duration must be positive")
     streams = RandomStreams(spec.seed)
     repository = CentralRepository()
-    clock = _BatchClock()
+    # Nothing is scheduled on it: running it to the horizon only moves
+    # its clock, so progress probes see where the campaign stands.
+    sim = Simulator()
     if on_progress is not None and progress_interval:
-        on_progress(clock)
+        on_progress(sim)
     testbeds: Dict[str, Any] = {}
     events_processed = 0
     failure_costs = _expected_failure_costs(spec.masking)
@@ -1380,14 +1346,14 @@ def execute_batch_campaign(
             nap_profile = next(p for p in spec.profiles if p.is_nap)
             panu_profiles = [p for p in spec.profiles if not p.is_nap]
             nap_node = node_id(name, nap_profile.name)
-            nap_sink = _NodeSink(nap_node, nap_profile.vendor)
+            nap_log = SystemLog(nap_node, vendor=nap_profile.vendor)
             panus = [
                 _PanuBatch(
                     name,
                     name,
                     profile,
                     nap_profile,
-                    nap_sink,
+                    nap_log,
                     injector,
                     scoped,
                     spec.masking,
@@ -1405,40 +1371,27 @@ def execute_batch_campaign(
             nap_noise = _ScalarDraws(
                 scoped.numpy_stream(f"batch/noise/{nap_profile.name}")
             )
-            _generate_noise(nap_sink, nap_noise._gen, nap_noise, duration)
+            _generate_noise(nap_log, nap_noise._gen, nap_noise, duration)
             for panu in panus:
                 noise = _ScalarDraws(
                     scoped.numpy_stream(f"batch/noise/{panu.profile.name}")
                 )
-                _generate_noise(panu.local_sink, noise._gen, noise, duration)
-            nap_phase = scoped.stream(f"analyzer/{nap_node}").uniform(0, 60)
-            _collect_node(nap_sink, [], nap_phase, duration, repository)
+                _generate_noise(panu.system_log, noise._gen, noise, duration)
+            # The NAP records no user-level data.
+            _ship_node(nap_log, TestLog(nap_node), scoped, duration, repository)
             for panu in panus:
-                _collect_node(
-                    panu.local_sink,
-                    panu.test_records,
-                    panu.phase,
-                    duration,
-                    repository,
-                )
-            testbeds[name] = _BatchTestbed(
-                name,
-                _BatchNode(nap_node),
-                [
-                    _BatchNode(panu.node, _BatchClient(panu.stats))
-                    for panu in panus
-                ],
-            )
-    clock.now = duration
+                _ship_node(panu.system_log, panu.test_log, scoped, duration, repository)
+            testbeds[name] = _BatchTestbed(name, nap_node, panus)
+    sim.run_until(duration)
     if on_progress is not None and progress_interval:
-        on_progress(clock)
+        on_progress(sim)
     return CampaignResult(
         duration=duration,
         seed=spec.seed,
         masking=spec.masking,
         repository=repository,
         testbeds=testbeds,
-        sim=Simulator(),
+        sim=sim,
         observability=None,
         events_processed=events_processed,
     )

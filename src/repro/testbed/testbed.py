@@ -119,11 +119,5 @@ class Testbed:
     def clients(self):
         return [panu.client for panu in self.panus]
 
-    def node_ids(self) -> List[str]:
-        return [self.nap.id] + [p.id for p in self.panus]
-
-    def total_cycles(self) -> int:
-        return sum(c.stats.cycles for c in self.clients())
-
 
 __all__ = ["Testbed"]

@@ -40,6 +40,7 @@ from repro.bluetooth.batch_channel import (
 )
 from repro.bluetooth.channel import Channel, ChannelConfig
 from repro.bluetooth.packets import PacketType
+from repro.collection.log_analyzer import LogAnalyzer
 from repro.core.campaign import CampaignSpec
 from repro.obs import Observability
 from repro.sim.rng import numpy_generator
@@ -287,6 +288,31 @@ class TestBatchExecutorDeterminism:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "pooled" / name
             ).read_bytes(), name
+
+
+def test_batch_ships_through_log_analyzers(monkeypatch):
+    # Every batch record reaches the repository through one LogAnalyzer
+    # per node, which collects at each period boundary and once more at
+    # the horizon, and leaves its logs rotated.
+    analyzers = {}
+    collect_once = LogAnalyzer.collect_once
+
+    def tracking_collect_once(analyzer):
+        analyzers[analyzer.node] = analyzer
+        collect_once(analyzer)
+
+    monkeypatch.setattr(LogAnalyzer, "collect_once", tracking_collect_once)
+    duration = 2 * 3600.0
+    result = api.run(duration=duration, seed=11, fidelity="batch")
+    assert set(analyzers) == {node for pair in result.node_nap_pairs() for node in pair}
+    assert len(analyzers) == 14
+    for analyzer in analyzers.values():
+        assert analyzer.rounds == math.floor((duration - analyzer.phase) / analyzer.period) + 1
+        assert not analyzer.test_log.records() and not analyzer.system_log.records()
+    assert sum(a.shipped_test for a in analyzers.values()) == result.repository.user_level_count
+    assert sum(a.shipped_system for a in analyzers.values()) == (
+        result.repository.system_level_count
+    )
 
 
 class TestFidelityThreading:

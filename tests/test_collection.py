@@ -223,6 +223,17 @@ class TestLogAnalyzer:
         assert repo.user_level_count == 2
         assert (len(test_log), test_log.cursor) == (0, 2)
 
+    def test_ships_only_what_follows_its_construction(self):
+        repo = CentralRepository()
+        test_log = WorkloadTestLog("t:n")
+        system_log = SystemLog("t:n", random.Random(0))
+        test_log.append(make_report())
+        test_log.release(test_log.cursor)
+        analyzer = LogAnalyzer("t:n", test_log, system_log, repo)
+        test_log.append(make_report(time=5.0))
+        analyzer.collect_once()
+        assert repo.user_level_count == analyzer.shipped_test == 1
+
     def test_cursor_prevents_double_shipping(self):
         repo = CentralRepository()
         test_log = WorkloadTestLog("t:n")

@@ -18,6 +18,7 @@ from repro.collection.records import RecoveryAttempt, SystemLogRecord, TestLogRe
 from repro.collection.repository import CentralRepository
 from repro.collection.store import (
     STORE_VERSION,
+    TESTBED,
     FailureStore,
     SQLiteStore,
     StoreError,
@@ -139,6 +140,15 @@ class TestProtocol:
         reopened = open_store(path)
         assert reopened.system_level_count == 1
         reopened.close()
+
+    def test_system_rows_share_one_testbed_string(self, campaign):
+        # The testbed cell is derived from each entry's node name; one
+        # string per testbed, not one per row.
+        objects = {}
+        for row in campaign.repository.iter_rows(kind="system"):
+            objects.setdefault(row[TESTBED], set()).add(id(row[TESTBED]))
+        assert sorted(objects) == ["random", "realistic"]
+        assert all(len(ids) == 1 for ids in objects.values())
 
 
 # -- backend identity (hypothesis) --------------------------------------------
