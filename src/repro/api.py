@@ -234,7 +234,10 @@ class ExperimentConfig:
         to one digest-checked shard store, rooted at ``cache_dir`` when
         given (shared, so repeated or overlapping sweeps reuse completed
         shards byte-identically) and otherwise at ``checkpoint_dir``
-        (which makes the sweep resumable).
+        (which makes the sweep resumable).  With a shard store the
+        returned shards hold no rows (``repository_payload`` is None):
+        :attr:`SweepResult.repository` and the spill read them back
+        from the store, so the sweep's memory stays flat in its seeds.
         ``progress`` is called with ``(shard, reused)`` as shards
         complete.  ``telemetry`` (a
         :class:`~repro.obs.journal.SweepTelemetry`) turns on the run

@@ -54,13 +54,17 @@ class LogAnalyzer:
 
         The repository now holds (the filtered part of) the batch, so
         the logs release it: each node keeps only what it appended since
-        this round.
+        this round.  An empty window still counts as a round but ships
+        nothing: the repository is left as it was.
         """
         test_log, system_log = self.test_log, self.system_log
         test_batch = test_log.since(self._test_cursor)
         self._test_cursor = test_log.cursor
         system_batch = system_log.since(self._system_cursor)
         self._system_cursor = system_log.cursor
+        if not test_batch and not system_batch:
+            self.rounds += 1
+            return
 
         kept_system, stats = filter_system_records(system_batch)
         self._merge_stats(stats)

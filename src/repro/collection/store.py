@@ -511,9 +511,9 @@ class SQLiteStore:
     on ``(time)``, ``(node, time)`` and ``(testbed, time)``, streaming
     ``executemany`` ingestion, and streaming query cursors — so a
     record stream is ingested and analysed shard by shard, without
-    building it as one list.  (``api.sweep(store=...)`` still holds
-    every shard's rows in :attr:`SweepResult.shards` until it spills
-    them, so its peak grows with the seed count.)  Rows cross
+    building it as one list.  (``api.sweep(store=...)`` with a cache
+    or checkpoint directory holds no shard's rows: the shard store has
+    them, and the spill reads them back one shard at a time.)  Rows cross
     the SQLite boundary unchanged in both directions: the row format
     above, in the order of one column tuple per table
     (``_TEST_COLUMNS``, ``_SYSTEM_COLUMNS``), which also generates the

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -37,8 +38,14 @@ def _peer_of(message: str) -> Optional[str]:
     return match.group(1) if match else None
 
 
+@lru_cache(maxsize=None)
 def column_key(failure_type: SystemFailureType, origin: str) -> str:
-    """Column identifier, e.g. ``"HCI:local"`` or ``"SDP:NAP"``."""
+    """Column identifier, e.g. ``"HCI:local"`` or ``"SDP:NAP"``.
+
+    Memoised (one entry per system type and origin): equal arguments
+    return one string object, so the fold's open tuples share their
+    column cells instead of each holding its own copy.
+    """
     return f"{failure_type.name}:{origin}"
 
 

@@ -229,7 +229,7 @@ def run_redundant_campaign(
         sim, "random", RandomWorkload, repository, streams, masking=masking
     )
     bed.start()
-    sim.run_until(duration)
+    events_processed = sim.run_until(duration)
     bed.final_collection()
     return CampaignResult(
         duration=duration,
@@ -238,6 +238,7 @@ def run_redundant_campaign(
         repository=repository,
         testbeds={"random": bed},  # type: ignore[dict-item]
         sim=sim,
+        events_processed=events_processed,
     )
 
 

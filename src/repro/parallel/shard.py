@@ -56,8 +56,10 @@ class ShardResult:
     duration: float
     #: Wall-clock seconds the replicate took inside its worker.
     wall_time: float
-    #: The central repository as :meth:`CentralRepository.to_payload` rows.
-    repository_payload: Dict[str, List[Row]]
+    #: The central repository as :meth:`CentralRepository.to_payload`
+    #: rows; None once a sweep has released them to its shard store
+    #: (read them back through the sweep, not the shard).
+    repository_payload: Optional[Dict[str, List[Row]]]
     #: (PANU, NAP) log-identifier pairs, for relationship analyses.
     node_nap_pairs: List[Tuple[str, str]]
     #: Aggregated per-testbed cycle statistics (client stats summed).
@@ -122,6 +124,11 @@ class ShardResult:
 
     def repository(self) -> CentralRepository:
         """This shard's repository, rebuilt from the payload."""
+        if self.repository_payload is None:
+            raise ValueError(
+                f"shard {self.seed} holds no rows: its sweep released them "
+                "to the shard store (read SweepResult.repository instead)"
+            )
         return CentralRepository.from_payload(self.repository_payload)
 
     @property

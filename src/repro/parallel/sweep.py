@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import get_logger
 from repro.collection.repository import CentralRepository
-from repro.collection.store import atomic_store
+from repro.collection.store import Row, atomic_store
 from repro.core.campaign import CampaignSpec
 from repro.obs.campaign import SweepMonitor, SweepWatchdog, write_sweep_textfile
 from repro.obs.journal import (
@@ -115,6 +115,14 @@ class SweepResult:
     _repository: Optional[CentralRepository] = field(
         default=None, repr=False, compare=False
     )
+    #: The shard store the nominal shards' rows are read back from
+    #: (None when the sweep had neither a cache nor a checkpoint
+    #: directory, so its shards keep their rows), and the metrics flag
+    #: that, with :attr:`spec`, names their entries.
+    _shard_store: Optional[ShardCache] = field(
+        default=None, repr=False, compare=False
+    )
+    _with_metrics: bool = field(default=False, repr=False, compare=False)
 
     # -- merged views --------------------------------------------------------
 
@@ -124,26 +132,54 @@ class SweepResult:
         if self._repository is None:
             merged = CentralRepository()
             for shard in self.shards:
-                merged.merge(shard.repository())
+                merged.merge(CentralRepository.from_payload(self._rows(shard)))
             self._repository = merged
         return self._repository
+
+    def _rows(self, shard: ShardResult) -> Dict[str, List[Row]]:
+        """One nominal shard's rows: held on the shard, else read back.
+
+        A sweep with a shard store releases each shard's rows once the
+        store holds them, so they are read back from it here, under the
+        digest check every read makes.  An entry pruned, truncated or
+        tampered with since the sweep is recomputed instead (a shard is
+        a pure function of spec and seed) and stored again: the rows
+        returned are always the shard's own.
+        """
+        if shard.repository_payload is not None:
+            return shard.repository_payload
+        fingerprint = sweep_fingerprint(self.spec, self._with_metrics)
+        stored = None
+        if self._shard_store is not None:
+            stored = self._shard_store.get(fingerprint, shard.seed)
+        if stored is None:
+            log.warning(
+                "sweep: shard %d is not in the shard store; re-running it",
+                shard.seed,
+            )
+            stored = run_shard(self.spec.with_seed(shard.seed), self._with_metrics)
+            if self._shard_store is not None:
+                self._shard_store.put(fingerprint, shard.seed, stored)
+        assert stored.repository_payload is not None
+        return stored.repository_payload
 
     def into_store(self, target: Union[str, Path]) -> Path:
         """Spill every nominal shard's records into a columnar SQLite store.
 
         The out-of-core replacement for :attr:`repository`: each shard's
-        ``repository_payload`` rows go to ``executemany`` as they are
+        rows go to ``executemany`` as they are
         (:meth:`~repro.collection.store.SQLiteStore.ingest_payload`), one
         shard at a time in canonical (ascending-seed) order, so the
-        merged stream is never built as one list or repository.  The
-        shards themselves are all held until the spill, though:
-        :attr:`shards` keeps every ``repository_payload`` (~0.35 MB of
-        rows per 12 h shard), so the sweep's peak grows with its seed
-        count.  Because the in-memory merge concatenates shard row lists
-        in exactly this order before its stable time-sort, the store's
-        iteration order (``ORDER BY time, id``) matches the merged
-        repository record for record, and every streaming analysis is
-        byte-identical over either.
+        merged stream is never built as one list or repository.  A sweep
+        with a shard store holds no rows at all: its shards released
+        them once stored, and each is read back from the store, ingested
+        and dropped before the next, so at most one shard's rows are
+        live and the peak stays flat in the seed count.  Because the
+        in-memory merge concatenates shard row lists in exactly this
+        order before its stable time-sort, the store's iteration order
+        (``ORDER BY time, id``) matches the merged repository record for
+        record, and every streaming analysis is byte-identical over
+        either.
 
         All shards go in as one transaction into a fresh store at a
         sibling temp path, which ``os.replace`` then publishes
@@ -155,7 +191,7 @@ class SweepResult:
         target = Path(target)
         with atomic_store(target) as store:
             for shard in self.shards:
-                store.ingest_payload(shard.repository_payload)
+                store.ingest_payload(self._rows(shard))
         self.store_path = target
         return target
 
@@ -334,10 +370,16 @@ def _run_stratum(
     re-checks, so neither a killed worker nor a tampered or truncated
     entry can ever be served.  The stratum fingerprint is half of each
     key, so the nominal and boosted strata share one store root.
+
+    Once a shard is in ``shard_store`` and ``progress`` has seen it, it
+    releases its rows (:meth:`SweepResult._rows` reads them back), so
+    the sweep holds no rows the store already holds.  A boosted shard
+    releases them unconditionally: only its estimates are ever read.
     """
     if not stratum_seeds:
         return [], 0
     fingerprint = sweep_fingerprint(spec, with_metrics)
+    keep_rows = shard_store is None and spec.rare_boost == 1.0
 
     shards: Dict[int, ShardResult] = {}
     for seed in stratum_seeds:
@@ -350,6 +392,7 @@ def _run_stratum(
                 ctx.note_reused(loaded, source)
             if progress is not None:
                 progress(loaded, True)
+            loaded.repository_payload = None
     hits = len(shards)
 
     pending = tuple(seed for seed in stratum_seeds if seed not in shards)
@@ -360,6 +403,8 @@ def _run_stratum(
             shard_store.put(fingerprint, shard.seed, shard)
         if progress is not None:
             progress(shard, False)
+        if not keep_rows:
+            shard.repository_payload = None
 
     if pending:
         backend.run(
@@ -459,6 +504,8 @@ def _sweep_pass(
         boosted_shards=boosted,
         boost=rare_boost if boosted else 1.0,
         journal=ctx.path if ctx is not None else None,
+        _shard_store=shard_store,
+        _with_metrics=with_metrics,
     )
 
 

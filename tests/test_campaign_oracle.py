@@ -13,8 +13,9 @@ the figure-3b connection-length run.
 A deliberate change of campaign output re-commits the digests it moves
 and says why in CHANGES.md.
 
-The two bit-path variants also report the work their engine did, as
-every other bit-path entry point does.
+The bit-path variants with their own entry points (enhanced stack,
+figure 3b, redundant piconets) also report the work their engine did,
+as every other bit-path entry point does.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import pytest
 
 from repro import api
 from repro.core.campaign import run_connection_length_experiment
-from repro.extensions import run_enhanced_campaign
+from repro.extensions import run_enhanced_campaign, run_redundant_campaign
 from repro.sim import Simulator
 
 HOUR = 3600.0
@@ -76,7 +77,15 @@ def test_campaign_outputs_are_byte_stable(case):
     assert (_digest(result.repository.to_payload()), _digest(stats)) == DIGESTS[case]
 
 
-@pytest.mark.parametrize("case", ["enhanced-2h-seed301", "figure3b-2h-seed5"])
+#: Bit-path entry points whose ``events_processed`` is the engine's count.
+ENGINE_CASES = {
+    "enhanced-2h-seed301": CASES["enhanced-2h-seed301"],
+    "figure3b-2h-seed5": CASES["figure3b-2h-seed5"],
+    "redundant-30m-seed1": lambda: run_redundant_campaign(duration=1800.0, seed=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
 def test_bit_variants_report_engine_events(case, monkeypatch):
     counted = []
     run_until = Simulator.run_until
@@ -87,5 +96,5 @@ def test_bit_variants_report_engine_events(case, monkeypatch):
         return processed
 
     monkeypatch.setattr(Simulator, "run_until", counting_run_until)
-    result = CASES[case]()
+    result = ENGINE_CASES[case]()
     assert counted and result.events_processed == sum(counted) > 0

@@ -234,6 +234,30 @@ class TestLogAnalyzer:
         analyzer.collect_once()
         assert repo.user_level_count == analyzer.shipped_test == 1
 
+    def test_empty_round_leaves_the_repository_untouched(self, monkeypatch):
+        repo = CentralRepository()
+        test_log = WorkloadTestLog("t:n")
+        system_log = SystemLog("t:n", random.Random(0))
+        analyzer = LogAnalyzer("t:n", test_log, system_log, repo)
+        test_log.append(make_report())
+        system_log.error(SystemFailureType.HCI, "timeout")
+        analyzer.collect_once()
+        payload = repo.to_payload()  # sorts the repository
+
+        def no_ingest(records):
+            raise AssertionError("an empty round ingested")
+
+        monkeypatch.setattr(repo, "ingest_test", no_ingest)
+        monkeypatch.setattr(repo, "ingest_system", no_ingest)
+        analyzer.collect_once()
+        assert analyzer.rounds == 2
+        assert repo._sorted and repo.to_payload() == payload
+        assert (analyzer.shipped_test, analyzer.shipped_system) == (1, 1)
+        test_log.append(make_report(time=5.0))
+        monkeypatch.undo()
+        analyzer.collect_once()
+        assert (analyzer.rounds, repo.user_level_count) == (3, 2)
+
     def test_cursor_prevents_double_shipping(self):
         repo = CentralRepository()
         test_log = WorkloadTestLog("t:n")

@@ -39,6 +39,13 @@ class TestColumns:
         assert column_key(SystemFailureType.HCI, "local") == "HCI:local"
         assert column_key(SystemFailureType.SDP, "NAP") == "SDP:NAP"
 
+    def test_column_key_is_one_object_per_column(self):
+        """The fold's open tuples share one string per column."""
+        origin = "".join(["lo", "cal"])  # equal to "local", not the same object
+        first = column_key(SystemFailureType.HCI, "local")
+        assert column_key(SystemFailureType.HCI, origin) is first
+        assert column_key(SystemFailureType.HCI, "NAP") is not first
+
     def test_all_columns_cover_types_and_none(self):
         columns = all_columns()
         assert NO_EVIDENCE in columns

@@ -1,16 +1,24 @@
 """Tests for spilling a sweep into the columnar store from shard payloads.
 
-:meth:`SweepResult.into_store` hands each shard's ``repository_payload``
-rows to SQLite as they are, in one transaction, into a fresh store that
-``os.replace`` publishes.  The oracle is the object path: every shard's
-payload rebuilt as a :class:`CentralRepository` (``from_payload``) and
-ingested with :meth:`SQLiteStore.ingest_store`.  Both stores must hold
-the same rows, every column, in ``id`` order.
+:meth:`SweepResult.into_store` hands each shard's rows to SQLite as
+they are, in one transaction, into a fresh store that ``os.replace``
+publishes.  A sweep with a shard store (a cache or checkpoint
+directory) holds no rows: its shards release them once stored, and the
+spill reads each shard back from the store, in ascending-seed order,
+one at a time.  The oracle is the object path: every shard's payload,
+held by the same sweep run without a shard store, rebuilt as a
+:class:`CentralRepository` (``from_payload``) and ingested with
+:meth:`SQLiteStore.ingest_store`.  Both stores must hold the same rows,
+every column, in ``id`` order, whether the spill's rows were held or
+read back, and whether the read-back found its entries intact or had
+to recompute them.
 """
 
 import json
+import logging
 import os
 import sqlite3
+import weakref
 
 import pytest
 
@@ -21,6 +29,8 @@ from repro.collection.records import RecoveryAttempt, SystemLogRecord, TestLogRe
 from repro.collection.repository import CentralRepository
 from repro.collection.store import SQLiteStore
 from repro.core.campaign import CampaignSpec
+from repro.parallel.cache import ShardCache, shard_key
+from repro.parallel.checkpoint import sweep_fingerprint
 from repro.parallel.shard import ShardResult
 from repro.parallel.sweep import SweepResult
 
@@ -100,6 +110,95 @@ def test_spill_matches_object_path_rows(fidelity, tmp_path):
     reference_store(result, tmp_path / "reference.store")
     result.into_store(tmp_path / "spilled.store")
     assert_same_rows(tmp_path / "spilled.store", tmp_path / "reference.store")
+
+
+def store_sweep(fidelity, shards, seeds=2):
+    """The oracle's sweep, with its rows in a checkpoint shard store."""
+    return api.sweep(
+        seeds, jobs=1, backend="serial", duration=3600.0, seed=35651,
+        fidelity=fidelity, checkpoint_dir=shards,
+    )
+
+
+@pytest.mark.parametrize("fidelity", ["bit", "batch"])
+def test_store_sweep_holds_no_rows_and_reads_them_back(fidelity, tmp_path):
+    held = api.sweep(
+        2, jobs=1, backend="serial", duration=3600.0, seed=35651, fidelity=fidelity
+    )
+    reference_store(held, tmp_path / "reference.store")
+    result = store_sweep(fidelity, tmp_path / "shards")
+    assert all(shard.repository_payload is None for shard in result.shards)
+    result.into_store(tmp_path / "spilled.store")
+    assert_same_rows(tmp_path / "spilled.store", tmp_path / "reference.store")
+    assert result.repository.to_payload() == held.repository.to_payload()
+    assert all(shard.repository_payload is None for shard in result.shards)
+
+
+def test_store_sweep_releases_boosted_rows(tmp_path):
+    result = api.sweep(
+        2, jobs=1, backend="serial", duration=3600.0, seed=35651,
+        checkpoint_dir=tmp_path / "shards", rare_boost=4.0, boost_seeds=2,
+    )
+    assert len(result.boosted_shards) == 2
+    for shard in result.shards + result.boosted_shards:
+        assert shard.repository_payload is None
+    with pytest.raises(ValueError, match="holds no rows"):
+        result.boosted_shards[0].repository()
+
+
+def test_spill_holds_one_shards_rows_at_a_time(tmp_path, monkeypatch):
+    """Each shard read back is freed before the next one is read."""
+    result = store_sweep("bit", tmp_path / "shards", seeds=3)
+    read_back = []
+    get = ShardCache.get
+
+    class Rows(dict):
+        """A payload a weak reference can watch."""
+
+    def watched(cache, fingerprint, seed):
+        shard = get(cache, fingerprint, seed)
+        shard.repository_payload = Rows(shard.repository_payload)
+        read_back.append((seed, weakref.ref(shard.repository_payload)))
+        return shard
+
+    ingest = SQLiteStore.ingest_payload
+    live = []
+
+    def counting(store, payload):
+        live.append(sum(ref() is not None for _, ref in read_back))
+        return ingest(store, payload)
+
+    monkeypatch.setattr(ShardCache, "get", watched)
+    monkeypatch.setattr(SQLiteStore, "ingest_payload", counting)
+    result.into_store(tmp_path / "spilled.store")
+    assert [seed for seed, _ in read_back] == sorted(result.seeds)
+    assert live == [1, 1, 1]
+
+
+def test_spill_recomputes_a_missing_or_corrupt_entry(tmp_path, caplog):
+    held = api.sweep(3, jobs=1, backend="serial", duration=3600.0, seed=35651)
+    reference_store(held, tmp_path / "reference.store")
+    result = store_sweep("bit", tmp_path / "shards", seeds=3)
+    cache = ShardCache(tmp_path / "shards")
+    fingerprint = sweep_fingerprint(result.spec, False)
+    first, second = (
+        cache.entry_path(shard_key(fingerprint, shard.seed))
+        for shard in result.shards[:2]
+    )
+    first.unlink()
+    data = bytearray(second.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    second.write_bytes(bytes(data))
+    with caplog.at_level(logging.WARNING, logger="repro"):
+        result.into_store(tmp_path / "spilled.store")
+    assert_same_rows(tmp_path / "spilled.store", tmp_path / "reference.store")
+    rerun = [
+        record for record in caplog.records if "re-running it" in record.getMessage()
+    ]
+    assert len(rerun) == 2
+    # The recomputed entries are stored again: the next read is a hit.
+    assert cache.get(fingerprint, result.shards[0].seed) is not None
+    assert cache.get(fingerprint, result.shards[1].seed) is not None
 
 
 def test_spill_matches_object_path_on_edge_records(tmp_path):
